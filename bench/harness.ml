@@ -18,9 +18,8 @@ let sample = ref 8
 
 let engine = ref Cost.Bytecode
 (** Trace engine used by every experiment context (set by
-    [--trace-engine] in {!Main}): [tree], [compiled], [bytecode]
-    (bit-identical, default) or [approx] (sampled, see
-    docs/performance.md). *)
+    [--trace-engine] in {!Main}): [tree], [bytecode] (bit-identical,
+    default) or [approx] (sampled, see docs/performance.md). *)
 
 let jobs = ref 1
 (** Worker domains for database seeding (set by [--jobs] in {!Main});

@@ -17,11 +17,11 @@ let experiments =
     ("fig12b", "CLOUDSC weak scaling", Fig_cloudsc.fig12b);
     ("ablation", "design-choice ablations", Ablation.run);
     ("micro", "toolchain micro-benchmarks (bechamel)", Micro.run);
-    ("interp", "interpreter engines: tree vs closure vs bytecode (BENCH_interp.json)",
+    ("interp", "interpreter engines: tree vs bytecode (BENCH_interp.json)",
      Micro.interp_bench_full);
     ("interp-smoke", "interpreter engine comparison, tiny sizes (CI smoke)",
      Micro.interp_bench_smoke);
-    ("trace", "trace engines: tree vs compiled vs bytecode vs sampled (BENCH_trace.json)",
+    ("trace", "trace engines: tree vs bytecode vs sampled (BENCH_trace.json)",
      Micro.trace_bench_full);
     ("trace-smoke", "trace engine comparison, two kernels (CI smoke)",
      Micro.trace_bench_smoke);

@@ -54,19 +54,19 @@ let test_interp =
            (Daisy_interp.Interp.run_fresh program ~sizes:Pb.gemm.Pb.test_sizes
               ())))
 
-let test_interp_compiled =
-  Test.make ~name:"interp: execute gemm compiled (tiny)"
+let test_interp_bytecode =
+  Test.make ~name:"interp: execute gemm bytecode (tiny)"
     (Staged.stage (fun () ->
          ignore
-           (Daisy_interp.Interp.run_compiled_fresh program
+           (Daisy_interp.Interp.run_bytecode_fresh program
               ~sizes:Pb.gemm.Pb.test_sizes ())))
 
 let benchmarks =
   [ test_parse; test_lift; test_dependence; test_normalize; test_simulate;
-    test_interp; test_interp_compiled ]
+    test_interp; test_interp_bytecode ]
 
 (* ------------------------------------------------------------------ *)
-(* Tree vs compiled interpreter: wall-clock + BENCH_interp.json          *)
+(* Tree vs bytecode interpreter: wall-clock + BENCH_interp.json          *)
 
 module Interp = Daisy_interp.Interp
 
@@ -95,17 +95,18 @@ type interp_row = {
   size_label : string;
   sizes : (string * int) list;
   tree_s : float;
-  closure_s : float;
   bytecode_s : float;
 }
 
 (** Machine-readable perf-trajectory record: one JSON object per
-    (kernel, size) with the wall-clock of all three semantic engines.
-    Accumulated across PRs by CI (see docs/performance.md). *)
+    (kernel, size) with the wall-clock of both semantic engines. Schema 3
+    drops schema 2's closure columns; [tree_s], [bytecode_s] and
+    [speedup_bytecode] keep their meaning. Accumulated across PRs by CI
+    (see docs/performance.md). *)
 let write_interp_json ~path (rows : interp_row list) =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"interp\",\n  \"schema\": 2,\n  \"results\": [\n";
+  out "{\n  \"bench\": \"interp\",\n  \"schema\": 3,\n  \"results\": [\n";
   List.iteri
     (fun i r ->
       let sizes =
@@ -114,13 +115,10 @@ let write_interp_json ~path (rows : interp_row list) =
       in
       out
         "    {\"kernel\": \"%s\", \"size\": \"%s\", \"sizes\": {%s}, \
-         \"tree_s\": %.6f, \"closure_s\": %.6f, \"bytecode_s\": %.6f, \
-         \"speedup_closure\": %.2f, \"speedup_bytecode\": %.2f, \
-         \"closure_over_bytecode\": %.2f}%s\n"
-        r.kernel r.size_label sizes r.tree_s r.closure_s r.bytecode_s
-        (r.tree_s /. r.closure_s)
+         \"tree_s\": %.6f, \"bytecode_s\": %.6f, \
+         \"speedup_bytecode\": %.2f}%s\n"
+        r.kernel r.size_label sizes r.tree_s r.bytecode_s
         (r.tree_s /. r.bytecode_s)
-        (r.closure_s /. r.bytecode_s)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  ]\n}\n";
@@ -133,13 +131,13 @@ let geomean xs =
 
 (** [interp_bench ~smoke ()] — engine wall-clock (compile + execute, on a
     state prepared once per engine so allocation and initialization are
-    excluded) of the tree-walking oracle vs the closure-compiled engine
-    vs the flat-bytecode VM, plus a bitwise-identity check of their final
-    states, written to BENCH_interp.json. The headline number is the
-    geomean bytecode-over-closure ratio at the default (4x) sizes — the
-    acceptance bar is >= 3x (docs/performance.md, "Bytecode engine").
-    [~smoke:true] restricts to tiny sizes with one repetition (the CI
-    smoke configuration). *)
+    excluded) of the tree-walking oracle vs the flat-bytecode VM, plus a
+    bitwise-identity check of their final states, written to
+    BENCH_interp.json. The headline number is the geomean
+    bytecode-over-tree ratio at the default (4x) sizes — the bar is
+    >= 50x (docs/performance.md, "Bytecode engine"). [~smoke:true]
+    restricts to tiny sizes with one repetition (the CI smoke
+    configuration). *)
 let interp_bench ?(smoke = false) () =
   let reps = if smoke then 1 else 3 in
   let rows =
@@ -157,33 +155,30 @@ let interp_bench ?(smoke = false) () =
               median_time reps (fun () -> run p st)
             in
             let tree_s = engine_time (fun p st -> Interp.run p st) in
-            let closure_s = engine_time (fun p st -> Interp.run_compiled p st) in
             let bytecode_s = engine_time (fun p st -> Interp.run_bytecode p st) in
-            { kernel = b.Pb.name; size_label; sizes; tree_s; closure_s;
-              bytecode_s })
+            { kernel = b.Pb.name; size_label; sizes; tree_s; bytecode_s })
           sizes_list)
       interp_kernels
   in
-  Format.printf "@.Interpreter engines: tree oracle vs closure vs bytecode@.";
-  Format.printf "  %-12s %-8s %12s %12s %12s %9s %9s@." "kernel" "size"
-    "tree (s)" "closure (s)" "bytecode (s)" "vs tree" "vs clos";
+  Format.printf "@.Interpreter engines: tree oracle vs bytecode@.";
+  Format.printf "  %-12s %-8s %12s %12s %9s@." "kernel" "size" "tree (s)"
+    "bytecode (s)" "vs tree";
   List.iter
     (fun r ->
-      Format.printf "  %-12s %-8s %12.6f %12.6f %12.6f %8.1fx %8.2fx@."
-        r.kernel r.size_label r.tree_s r.closure_s r.bytecode_s
-        (r.tree_s /. r.bytecode_s)
-        (r.closure_s /. r.bytecode_s))
+      Format.printf "  %-12s %-8s %12.6f %12.6f %8.1fx@." r.kernel r.size_label
+        r.tree_s r.bytecode_s
+        (r.tree_s /. r.bytecode_s))
     rows;
   let headline =
     let selected =
       if smoke then rows
       else List.filter (fun r -> r.size_label = "default") rows
     in
-    geomean (List.map (fun r -> r.closure_s /. r.bytecode_s) selected)
+    geomean (List.map (fun r -> r.tree_s /. r.bytecode_s) selected)
   in
   Format.printf
-    "  geomean bytecode speedup over closure (%s sizes): %.2fx (bar: >= 3x \
-     at default sizes)@."
+    "  geomean bytecode speedup over tree (%s sizes): %.2fx (bar: >= 50x at \
+     default sizes)@."
     (if smoke then "tiny" else "default")
     headline;
   (* the states must be bitwise identical, not just fast *)
@@ -192,12 +187,11 @@ let interp_bench ?(smoke = false) () =
       (fun (b : Pb.benchmark) ->
         let p = Pb.program b in
         let s1 = Interp.run_fresh p ~sizes:b.Pb.test_sizes () in
-        let s2 = Interp.run_compiled_fresh p ~sizes:b.Pb.test_sizes () in
-        let s3 = Interp.run_bytecode_fresh p ~sizes:b.Pb.test_sizes () in
-        Interp.max_rel_diff p s1 s2 = 0.0 && Interp.max_rel_diff p s1 s3 = 0.0)
+        let s2 = Interp.run_bytecode_fresh p ~sizes:b.Pb.test_sizes () in
+        Interp.max_rel_diff p s1 s2 = 0.0)
       interp_kernels
   in
-  Format.printf "  closure == bytecode == tree final states: %b@." identical;
+  Format.printf "  bytecode == tree final states: %b@." identical;
   write_interp_json ~path:"BENCH_interp.json" rows;
   Format.printf "  [wrote BENCH_interp.json]@."
 
@@ -205,10 +199,9 @@ let interp_bench_full () = interp_bench ()
 let interp_bench_smoke () = interp_bench ~smoke:true ()
 
 (* ------------------------------------------------------------------ *)
-(* Trace engines: tree walker vs compiled vs sampled (BENCH_trace.json)  *)
+(* Trace engines: tree walker vs bytecode vs sampled (BENCH_trace.json)  *)
 
 module Trace = Daisy_machine.Trace
-module Tc = Daisy_machine.Trace_compile
 module Tb = Daisy_machine.Trace_bc
 
 (** Per-candidate comparison set: the kernels whose cost-model walks
@@ -236,7 +229,6 @@ type trace_row = {
   tkernel : string;
   tsizes : (string * int) list;
   tree_s : float;
-  tcompiled_s : float;
   tbytecode_s : float;  (** unfused bytecode walk (the schema-2 baseline) *)
   tfused_s : float;  (** fused addressing + batched stream replay *)
   tmemo_s : float;  (** fused walk against a warm simulation memo *)
@@ -257,15 +249,16 @@ type e2e_row = {
 
 (** Perf-trajectory record for the cost-model fast path: per-kernel
     wall-clock of the engines plus the exactness/accuracy checks, and
-    end-to-end scheduling-database seeding per engine. Schema 3 adds the
-    fused/memo columns, per-candidate latency percentiles and the
-    simulation-memo hit counters; [bytecode_s] keeps the schema-2 meaning
-    (unfused walk) so trajectories stay comparable across schemas.
-    Accumulated across PRs by CI (see docs/performance.md). *)
+    end-to-end scheduling-database seeding per engine. Schema 4 drops
+    schema 3's closure-engine columns ([compiled_s], [speedup_compiled]
+    and the [compiled] seeding row); every other column keeps its meaning
+    ([bytecode_s] is still the unfused walk), so trajectories stay
+    comparable across schemas. Accumulated across PRs by CI (see
+    docs/performance.md). *)
 let write_trace_json ~path (rows : trace_row list) (e2e : e2e_row list) =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"trace\",\n  \"schema\": 3,\n  \"results\": [\n";
+  out "{\n  \"bench\": \"trace\",\n  \"schema\": 4,\n  \"results\": [\n";
   List.iteri
     (fun i r ->
       let sizes =
@@ -274,15 +267,14 @@ let write_trace_json ~path (rows : trace_row list) (e2e : e2e_row list) =
       in
       out
         "    {\"kernel\": \"%s\", \"sizes\": {%s}, \"tree_s\": %.6f, \
-         \"compiled_s\": %.6f, \"bytecode_s\": %.6f, \"fused_s\": %.6f, \
+         \"bytecode_s\": %.6f, \"fused_s\": %.6f, \
          \"memo_hit_s\": %.6f, \"approx_s\": %.6f, \
-         \"speedup_compiled\": %.2f, \"speedup_bytecode\": %.2f, \
+         \"speedup_bytecode\": %.2f, \
          \"speedup_fused\": %.2f, \"speedup_approx\": %.2f, \
          \"lat_p50_s\": %.6f, \"lat_p95_s\": %.6f, \"lat_p99_s\": %.6f, \
          \"exact_identical\": %b, \"approx_rel_err\": %.4f}%s\n"
-        r.tkernel sizes r.tree_s r.tcompiled_s r.tbytecode_s r.tfused_s
+        r.tkernel sizes r.tree_s r.tbytecode_s r.tfused_s
         r.tmemo_s r.approx_s
-        (r.tree_s /. r.tcompiled_s)
         (r.tree_s /. r.tbytecode_s)
         (r.tbytecode_s /. r.tfused_s)
         (r.tree_s /. r.approx_s)
@@ -340,8 +332,8 @@ let trace_seed_wallclock ~smoke (engine : Cost.engine) =
   (Unix.gettimeofday () -. t0, !hits, !misses)
 
 (** [trace_bench ~smoke ()] — wall-clock of the tree trace walker vs the
-    closure-compiled engine vs the flat-bytecode engine (both
-    bit-identical to the tree) and the sampled engine (approximate),
+    flat-bytecode engine, unfused and fused (both bit-identical to the
+    tree), and the sampled engine (approximate),
     written to BENCH_trace.json. [~smoke:true] restricts to two kernels
     with one repetition (the CI smoke configuration). *)
 let trace_bench ?(smoke = false) () =
@@ -353,12 +345,6 @@ let trace_bench ?(smoke = false) () =
           median_time reps (fun () ->
               ignore
                 (Trace.run Config.default p ~sizes
-                   ~sample_outer:trace_sample_outer ()))
-        in
-        let tcompiled_s =
-          median_time reps (fun () ->
-              ignore
-                (Tc.run Config.default p ~sizes
                    ~sample_outer:trace_sample_outer ()))
         in
         let tbytecode_s =
@@ -393,8 +379,8 @@ let trace_bench ?(smoke = false) () =
         let approx_s =
           median_time reps (fun () ->
               ignore
-                (Tc.run Config.default p ~sizes
-                   ~sample_outer:trace_sample_outer ~approx:Tc.default_approx
+                (Tb.run Config.default p ~sizes
+                   ~sample_outer:trace_sample_outer ~approx:Tb.default_approx
                    ()))
         in
         let tree_counters =
@@ -402,27 +388,24 @@ let trace_bench ?(smoke = false) () =
         in
         let exact_identical =
           let memo = Tb.memo_create Config.default in
-          List.for_all2 Tc.counters_equal tree_counters
-            (Tc.run Config.default p ~sizes ~sample_outer:trace_sample_outer
-               ())
-          && List.for_all2 Tc.counters_equal tree_counters
-               (Tb.run Config.default p ~sizes
-                  ~sample_outer:trace_sample_outer ~batch:false ())
-          && List.for_all2 Tc.counters_equal tree_counters
+          List.for_all2 Trace.counters_equal tree_counters
+            (Tb.run Config.default p ~sizes ~sample_outer:trace_sample_outer
+               ~batch:false ())
+          && List.for_all2 Trace.counters_equal tree_counters
                (Tb.run Config.default p ~sizes
                   ~sample_outer:trace_sample_outer ~batch:true ())
-          && List.for_all2 Tc.counters_equal tree_counters
+          && List.for_all2 Trace.counters_equal tree_counters
                (Tb.run Config.default p ~sizes
                   ~sample_outer:trace_sample_outer ~batch:true ~memo ())
-          && List.for_all2 Tc.counters_equal tree_counters
+          && List.for_all2 Trace.counters_equal tree_counters
                (* memo hit pass *)
                (Tb.run Config.default p ~sizes
                   ~sample_outer:trace_sample_outer ~batch:true ~memo ())
         in
-        let c_exact = trace_cycles Cost.Compiled p ~sizes in
-        let c_approx = trace_cycles (Cost.Approx Tc.default_approx) p ~sizes in
+        let c_exact = trace_cycles Cost.Bytecode p ~sizes in
+        let c_approx = trace_cycles (Cost.Approx Tb.default_approx) p ~sizes in
         let approx_rel_err = Float.abs (c_approx -. c_exact) /. c_exact in
-        { tkernel = name; tsizes = sizes; tree_s; tcompiled_s; tbytecode_s;
+        { tkernel = name; tsizes = sizes; tree_s; tbytecode_s;
           tfused_s; tmemo_s; approx_s;
           lat_p50_s = percentile lats 0.5;
           lat_p95_s = percentile lats 0.95;
@@ -430,16 +413,14 @@ let trace_bench ?(smoke = false) () =
           exact_identical; approx_rel_err })
       (trace_cases ~smoke)
   in
-  Format.printf "@.Trace engines: tree walker vs compiled vs bytecode \
+  Format.printf "@.Trace engines: tree walker vs bytecode \
                  (unfused/fused/memo) vs sampled@.";
-  Format.printf "  %-16s %10s %12s %12s %10s %10s %8s %7s %6s@." "kernel"
-    "tree (s)" "compiled (s)" "bytecode (s)" "fused (s)" "memo (s)"
-    "fused-x" "exact" "err";
+  Format.printf "  %-16s %10s %12s %10s %10s %8s %7s %6s@." "kernel"
+    "tree (s)" "bytecode (s)" "fused (s)" "memo (s)" "fused-x" "exact" "err";
   List.iter
     (fun r ->
-      Format.printf
-        "  %-16s %10.5f %12.5f %12.5f %10.5f %10.5f %7.2fx %7b %5.1f%%@."
-        r.tkernel r.tree_s r.tcompiled_s r.tbytecode_s r.tfused_s r.tmemo_s
+      Format.printf "  %-16s %10.5f %12.5f %10.5f %10.5f %7.2fx %7b %5.1f%%@."
+        r.tkernel r.tree_s r.tbytecode_s r.tfused_s r.tmemo_s
         (r.tbytecode_s /. r.tfused_s)
         r.exact_identical
         (100.0 *. r.approx_rel_err);
@@ -449,9 +430,7 @@ let trace_bench ?(smoke = false) () =
   let geomean xs = exp (List.fold_left (fun a x -> a +. log x) 0.0 xs
                         /. float_of_int (List.length xs)) in
   Format.printf
-    "  geomean speedup vs tree: compiled %.1fx, bytecode %.1fx, fused \
-     %.1fx, approx %.1fx@."
-    (geomean (List.map (fun r -> r.tree_s /. r.tcompiled_s) rows))
+    "  geomean speedup vs tree: bytecode %.1fx, fused %.1fx, approx %.1fx@."
     (geomean (List.map (fun r -> r.tree_s /. r.tbytecode_s) rows))
     (geomean (List.map (fun r -> r.tree_s /. r.tfused_s) rows))
     (geomean (List.map (fun r -> r.tree_s /. r.approx_s) rows));
@@ -472,9 +451,8 @@ let trace_bench ?(smoke = false) () =
           trace_seed_wallclock ~smoke engine
         in
         { engine_name; seed_s; memo_hits; memo_misses })
-      [ ("tree", Cost.Tree); ("compiled", Cost.Compiled);
-        ("bytecode", Cost.Bytecode);
-        ("approx", Cost.Approx Tc.default_approx) ]
+      [ ("tree", Cost.Tree); ("bytecode", Cost.Bytecode);
+        ("approx", Cost.Approx Tb.default_approx) ]
   in
   Format.printf "@.End-to-end database seeding (Evolve.search inside):@.";
   List.iter

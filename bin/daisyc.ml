@@ -117,17 +117,16 @@ let engine_arg =
   Arg.(value & opt engine_conv Daisy.Machine.Cost.Bytecode
          & info [ "trace-engine" ] ~docv:"ENGINE"
              ~doc:"Cost-model trace engine: $(b,tree) (reference walker), \
-                   $(b,compiled) (bit-identical closure fast path), \
                    $(b,bytecode) (bit-identical flat-LIR engine, default) \
-                   or $(b,approx) (sampled; see docs/performance.md for \
-                   the accuracy contract).")
+                   or $(b,approx) (the bytecode walk, sampled; see \
+                   docs/performance.md for the accuracy contract).")
 
 let interp_engine_conv : Daisy.Interp.Interp.engine Arg.conv =
   let parse s =
     match Daisy.Interp.Interp.engine_of_string s with
     | Some e -> Ok e
     | None -> Error (`Msg ("unknown interpreter engine '" ^ s
-                           ^ "' (tree|closure|bytecode)"))
+                           ^ "' (tree|bytecode)"))
   in
   Arg.conv (parse, fun ppf e ->
       Fmt.string ppf (Daisy.Interp.Interp.string_of_engine e))
@@ -136,11 +135,10 @@ let interp_engine_arg =
   Arg.(value & opt interp_engine_conv Daisy.Interp.Interp.Bytecode
          & info [ "interp-engine" ] ~docv:"ENGINE"
              ~doc:"Semantic interpreter engine for equivalence checks: \
-                   $(b,tree) (reference oracle), $(b,closure) (compiled \
-                   closure trees) or $(b,bytecode) (flat-LIR VM, default). \
-                   All three are bit-identical, so the choice does not \
-                   affect results (and, like $(b,--jobs), is excluded from \
-                   checkpoint fingerprints) — only speed.")
+                   $(b,tree) (reference oracle) or $(b,bytecode) (flat-LIR \
+                   VM, default). Both are bit-identical, so the choice does \
+                   not affect results (and, like $(b,--jobs), is excluded \
+                   from checkpoint fingerprints) — only speed.")
 
 let dump_bc_arg =
   Arg.(value & flag & info [ "dump-bc" ]

@@ -1,9 +1,9 @@
 (** Bytecode execution engine for loopir: the semantic backend of the
     flat bytecode produced by {!Daisy_lir.Bytecode.lower}.
 
-    Where {!Compile} builds a closure tree (one heap object and one
-    indirect call per IR node), this engine walks a contiguous [int array]
-    with a threaded-dispatch loop: a global table of per-opcode handlers,
+    Rather than a closure tree (one heap object and one indirect call per
+    IR node), this engine walks a contiguous [int array] with a
+    threaded-dispatch loop: a global table of per-opcode handlers,
     each tail-calling into the next instruction — no [match] per opcode,
     no pointer chasing between body nodes. Loop iterators and evaluated
     upper bounds live in one integer register file, scalars in a float
@@ -242,7 +242,7 @@ let () =
 (* ------------------------------------------------------------------ *)
 (* Binding: sites                                                       *)
 
-(* Readers and writers replicate [Compile.compile_read]/[compile_write]
+(* Readers and writers replicate the tree oracle's array accesses
    exactly: unknown arrays evaluate all subscripts before raising, all
    subscripts are evaluated before any bounds check, bounds are checked
    dimension by dimension with identical messages, rank-1/2 fast paths,
@@ -1152,9 +1152,9 @@ let bind_fuse (bc : B.t) (st : state) (ixfs : (unit -> int) array)
 (** [compile p state] lowers [p] to bytecode against [state]'s sizes and
     binds it to [state]'s storage. The returned thunk executes the
     program, mutating [state]; it may be invoked repeatedly as long as
-    [state]'s arrays are not reallocated. [budget] semantics match
-    {!Compile.compile}: ticked once per executed loop iteration, baked
-    into the engine, shared across invocations. *)
+    [state]'s arrays are not reallocated. [budget] is ticked once per
+    executed loop iteration, baked into the engine and shared across
+    invocations. *)
 let compile ?(budget = Budget.unlimited ()) (p : Ir.program) (st : state) :
     unit -> unit =
   let bc = B.lower ~sizes:st.sizes p in

@@ -9,14 +9,14 @@
 
     - {!run} — the tree-walking oracle: simple, obviously-correct recursive
       evaluation over string-map environments;
-    - {!run_compiled} — the slot-based compiled engine ({!Compile}),
-      10–100x faster and differential-tested to produce bitwise-identical
-      states (see [test/test_compile.ml] and [docs/performance.md]).
+    - {!run_bytecode} — the flat-bytecode engine ({!Bc_exec}),
+      differential-tested to produce bitwise-identical states (see
+      [test/test_bytecode.ml] and [docs/performance.md]).
 
     The equivalence checkers ({!equivalent}, {!equivalent_on}) run on the
-    compiled engine and transparently fall back to the oracle if it fails
+    bytecode engine and transparently fall back to the oracle if it fails
     with a non-semantic exception (see {!compiled_fallbacks}); the oracle
-    remains the ground truth the compiled engine is itself validated
+    remains the ground truth the bytecode engine is itself validated
     against.
 
     Scheduling attributes ([parallel], [vectorized], [unroll]) do not affect
@@ -193,25 +193,10 @@ let run_fresh ?budget (p : Ir.program) ~sizes ?(scalars = []) ?init_fn () =
   state
 
 (* ------------------------------------------------------------------ *)
-(* Compiled fast path                                                   *)
-
-(** [run_compiled p state] executes [p] with the slot-based compiled
-    engine ({!Compile}) — bitwise identical to {!run}, 10–100x faster. *)
-let run_compiled ?budget (p : Ir.program) (state : state) =
-  Compile.run ?budget p state
-
-(** [run_compiled_fresh p ~sizes ...] — {!run_fresh} on the compiled
-    engine. *)
-let run_compiled_fresh ?budget (p : Ir.program) ~sizes ?(scalars = [])
-    ?init_fn () =
-  Compile.run_fresh ?budget p ~sizes ~scalars ?init_fn ()
-
-(* ------------------------------------------------------------------ *)
 (* Bytecode fast path                                                   *)
 
 (** [run_bytecode p state] executes [p] with the flat-bytecode engine
-    ({!Bc_exec} over {!Daisy_lir.Bytecode}) — bitwise identical to {!run},
-    faster than {!run_compiled}. *)
+    ({!Bc_exec} over {!Daisy_lir.Bytecode}) — bitwise identical to {!run}. *)
 let run_bytecode ?budget (p : Ir.program) (state : state) =
   Bc_exec.run ?budget p state
 
@@ -224,67 +209,52 @@ let run_bytecode_fresh ?budget (p : Ir.program) ~sizes ?(scalars = [])
 (* ------------------------------------------------------------------ *)
 (* Engine selection                                                     *)
 
-(** The three semantic engines, slowest (and most obviously correct)
-    first. All are bit-identical on the differential suite; {!engine}
-    picks which one the {!equivalent} family runs. *)
-type engine = Tree | Closure | Bytecode
+(** The two semantic engines, the obviously correct oracle first. Both
+    are bit-identical on the differential suite; {!engine} picks which one
+    the {!equivalent} family runs. *)
+type engine = Tree | Bytecode
 
 let engine_of_string = function
   | "tree" -> Some Tree
-  | "closure" -> Some Closure
   | "bytecode" -> Some Bytecode
   | _ -> None
 
-let string_of_engine = function
-  | Tree -> "tree"
-  | Closure -> "closure"
-  | Bytecode -> "bytecode"
+let string_of_engine = function Tree -> "tree" | Bytecode -> "bytecode"
 
 let default_engine = ref Bytecode
 
 (* ------------------------------------------------------------------ *)
-(* Guarded runs: degrade bytecode -> closure -> tree on engine failure   *)
+(* Guarded runs: degrade bytecode -> tree on engine failure            *)
 
 let fallbacks = Atomic.make 0
 
 let compiled_fallbacks () = Atomic.get fallbacks
 let reset_compiled_fallbacks () = Atomic.set fallbacks 0
 
-let warn_fallback ~from ~to_ exn =
+let warn_fallback exn =
   let n = Atomic.fetch_and_add fallbacks 1 + 1 in
-  (* per-label throttling (Diag.warn_throttled): a hot loop of bytecode
-     failures cannot flood stderr, nor silence closure-engine warnings *)
-  Diag.warn_throttled
-    ~label:("interp_fallback:" ^ from)
-    "%s engine failed (%s); falling back to %s engine (fallback #%d)" from
-    (Printexc.to_string exn) to_ n
+  (* throttled (Diag.warn_throttled): a hot loop of bytecode failures
+     cannot flood stderr *)
+  Diag.warn_throttled ~label:"interp_fallback:bytecode"
+    "bytecode engine failed (%s); falling back to tree engine (fallback #%d)"
+    (Printexc.to_string exn) n
 
 (* [Runtime_error] and [Invalid_argument] are semantic — all engines
    raise them identically for the same program — so they propagate; any
-   other exception is an engine defect and triggers the next engine down
-   the chain. [Budget.Exhausted] also propagates: every engine would
-   exhaust too. *)
+   other exception is an engine defect and triggers a re-run on the tree
+   oracle. [Budget.Exhausted] also propagates: the oracle would exhaust
+   too. *)
 let checked_run_fresh ?budget (p : Ir.program) ~sizes ~scalars () =
-  let closure_or_tree () =
-    try run_compiled_fresh ?budget p ~sizes ~scalars ()
-    with
-    | (Runtime_error _ | Invalid_argument _ | Budget.Exhausted) as e ->
-        raise e
-    | e ->
-        warn_fallback ~from:"closure" ~to_:"tree" e;
-        run_fresh ?budget p ~sizes ~scalars ()
-  in
   match !default_engine with
   | Tree -> run_fresh ?budget p ~sizes ~scalars ()
-  | Closure -> closure_or_tree ()
   | Bytecode -> (
       try run_bytecode_fresh ?budget p ~sizes ~scalars ()
       with
       | (Runtime_error _ | Invalid_argument _ | Budget.Exhausted) as e ->
           raise e
       | e ->
-          warn_fallback ~from:"bytecode" ~to_:"closure" e;
-          closure_or_tree ())
+          warn_fallback e;
+          run_fresh ?budget p ~sizes ~scalars ())
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                           *)
@@ -320,8 +290,8 @@ let max_rel_diff (p : Ir.program) (s1 : state) (s2 : state) =
 
 (** [equivalent_on ~arrays p1 p2 ~sizes] — run both programs from identical
     initial states and compare only the named arrays (for cross-language
-    checks where the programs declare different temporaries). Runs on the
-    compiled engine. *)
+    checks where the programs declare different temporaries). Runs on
+    {!default_engine}. *)
 let equivalent_on ?(tol = 1e-9) ~(arrays : string list) (p1 : Ir.program)
     (p2 : Ir.program) ~sizes ?(scalars = []) () =
   let s1 = checked_run_fresh p1 ~sizes ~scalars () in
@@ -346,8 +316,8 @@ let equivalent_on ?(tol = 1e-9) ~(arrays : string list) (p1 : Ir.program)
     arrays
 
 (** [equivalent p1 p2 ~sizes] runs both programs from identical initial
-    states and checks parameter arrays agree within [tol]. Runs on the
-    compiled engine. *)
+    states and checks parameter arrays agree within [tol]. Runs on
+    {!default_engine}. *)
 let equivalent ?(tol = 1e-9) (p1 : Ir.program) (p2 : Ir.program) ~sizes
     ?(scalars = []) () =
   let s1 = checked_run_fresh p1 ~sizes ~scalars () in

@@ -1,8 +1,8 @@
 (** Reference interpreter for loopir programs over real [float array]
     storage — the oracle proving every transformation semantics-preserving.
     Two engines share the execution state: the tree-walking oracle
-    ({!run}) and the slot-based compiled fast path ({!run_compiled},
-    bitwise-identical and 10–100x faster — see [docs/performance.md]).
+    ({!run}) and the flat-bytecode fast path ({!run_bytecode},
+    bitwise-identical — see [docs/performance.md]).
     Scheduling attributes do not affect interpretation. *)
 
 type tensor = Istate.tensor = { dims : int array; data : float array }
@@ -45,27 +45,12 @@ val run_fresh :
   unit ->
   state
 
-val run_compiled :
-  ?budget:Daisy_support.Budget.t -> Daisy_loopir.Ir.program -> state -> unit
-(** Execute with the compiled engine ({!Compile}): bitwise-identical final
-    states and error behavior, 10–100x faster than {!run}. *)
-
-val run_compiled_fresh :
-  ?budget:Daisy_support.Budget.t ->
-  Daisy_loopir.Ir.program ->
-  sizes:(string * int) list ->
-  ?scalars:(string * float) list ->
-  ?init_fn:(string -> int -> float) ->
-  unit ->
-  state
-(** {!run_fresh} on the compiled engine. *)
-
 val run_bytecode :
   ?budget:Daisy_support.Budget.t -> Daisy_loopir.Ir.program -> state -> unit
 (** Execute with the flat-bytecode engine ({!Bc_exec} over
     {!Daisy_lir.Bytecode}): bitwise-identical final states and error
-    behavior, faster than {!run_compiled} (see [docs/performance.md],
-    "Bytecode engine"). *)
+    behavior, faster than {!run} (see [docs/performance.md], "Bytecode
+    engine"). *)
 
 val run_bytecode_fresh :
   ?budget:Daisy_support.Budget.t ->
@@ -77,8 +62,8 @@ val run_bytecode_fresh :
   state
 (** {!run_fresh} on the bytecode engine. *)
 
-type engine = Tree | Closure | Bytecode
-(** The three semantic engines, slowest first — all bit-identical on the
+type engine = Tree | Bytecode
+(** The two semantic engines, the oracle first — bit-identical on the
     differential suite. *)
 
 val engine_of_string : string -> engine option
@@ -86,16 +71,15 @@ val string_of_engine : engine -> string
 
 val default_engine : engine ref
 (** Engine the {!equivalent} family runs on (default [Bytecode]). A
-    failing engine degrades bytecode -> closure -> tree with throttled
-    warnings; semantic errors and [Budget.Exhausted] propagate. *)
+    failing bytecode engine degrades to the tree oracle with a throttled
+    warning; semantic errors and [Budget.Exhausted] propagate. *)
 
 val compiled_fallbacks : unit -> int
 (** Number of times a guarded run (the {!equivalent} family) failed with
-    a non-semantic exception and was transparently re-run on the next
-    engine down the bytecode -> closure -> tree chain. Each fallback logs
-    a throttled warning to stderr. Semantic errors ([Runtime_error],
-    [Invalid_argument]) and [Budget.Exhausted] propagate instead — all
-    engines raise those identically. *)
+    a non-semantic exception and was transparently re-run on the tree
+    oracle. Each fallback logs a throttled warning to stderr. Semantic
+    errors ([Runtime_error], [Invalid_argument]) and [Budget.Exhausted]
+    propagate instead — both engines raise those identically. *)
 
 val reset_compiled_fallbacks : unit -> unit
 
@@ -112,7 +96,7 @@ val equivalent_on :
   ?scalars:(string * float) list ->
   unit ->
   bool
-(** Run both programs from identical initial states (compiled engine,
+(** Run both programs from identical initial states ({!default_engine},
     with transparent tree-oracle fallback on engine failure) and compare
     only the named arrays (for cross-language checks). *)
 
@@ -124,4 +108,4 @@ val equivalent :
   ?scalars:(string * float) list ->
   unit ->
   bool
-(** Compare all parameter arrays (compiled engine). *)
+(** Compare all parameter arrays ({!default_engine}). *)

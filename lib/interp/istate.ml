@@ -1,7 +1,7 @@
 (** Shared execution state of the two loopir interpreters.
 
-    Both the tree-walking oracle ({!Interp}) and the compiled fast path
-    ({!Compile}) execute programs over this state: concrete [float array]
+    Both the tree-walking oracle ({!Interp}) and the bytecode fast path
+    ({!Bc_exec}) execute programs over this state: concrete [float array]
     storage per array, an integer size environment, and a scalar
     environment. Keeping allocation, the deterministic initializer and the
     bounds-checking index arithmetic in one place guarantees the two

@@ -1,5 +1,5 @@
 (** Shared execution state of the two loopir interpreters (the
-    tree-walking oracle {!Interp} and the compiled fast path {!Compile}):
+    tree-walking oracle {!Interp} and the bytecode fast path {!Bc_exec}):
     storage, deterministic initialization, bounds-checked indexing and
     intrinsics live here so the engines cannot drift on anything but the
     walk itself. *)

@@ -14,8 +14,7 @@
       float register file with bound flags;
     - affine subscripts fused into address-generation descriptors
       ([Ix_aff]: [base + sum coeff*reg] as one table-driven operand)
-      exactly as {!Daisy_interp.Compile.compile_int} folds them, with an
-      [Ix_code] RPN fallback mirroring the compiled-expression tree;
+      with an [Ix_code] RPN fallback for everything else;
     - superinstructions: a static peephole pass rewrites innermost loops
       whose body is straight-line float code (loads/stores/arithmetic)
       into one [FUSE] opcode; the executing backend runs the whole loop
@@ -26,12 +25,12 @@
       top-level node: a compact 5-opcode stream with per-occurrence
       computation descriptors, precomputed byte-address generators and
       compile-time error strings, driving the cache simulator with
-      bit-identical counters to {!Daisy_machine.Trace_compile}.
+      bit-identical counters to the tree walker {!Daisy_machine.Trace}.
 
     Exactness contract: the semantic stream replicates the tree oracle's
     observable behavior (evaluation order, error messages, raise points);
-    the trace section replicates the compiled trace engine's counter
-    arithmetic, float-addition order included. The differential suite in
+    the trace section replicates the trace walker's counter arithmetic,
+    float-addition order included. The differential suite in
     [test/test_bytecode.ml] enforces both.
 
     Lowering passes through the ["bc_compile"] {!Daisy_support.Fault}
@@ -138,7 +137,8 @@ let cmp_names = [| "lt"; "le"; "gt"; "ge"; "eq"; "ne" |]
 
 (* RPN streams in [xpool], evaluated atomically on a scratch int stack.
    Operand order is chosen so a stream replicates the observable
-   evaluation order of the closure-compiled expression trees. *)
+   evaluation order (which subexpression raises first) of the reference
+   walkers. *)
 let x_push = 0 (* [imm] push constant *)
 let x_reg = 1 (* [reg] push integer register *)
 let x_err = 2 (* [name id] unbound variable: raises like Expr.eval *)
@@ -228,14 +228,23 @@ type taccess =
           into one linear form *)
   | Ta_gen of int * int array * int array
       (** base, declared dims, index ix ids — row-major fold with the
-          compiled engine's rank-mismatch behavior *)
+          trace walker's rank-mismatch behavior *)
 
-type tsite = { ts_acc : taccess; ts_write : bool; ts_strided : bool }
+type tsite = {
+  ts_acc : taccess;
+  ts_write : bool;
+  ts_strided : bool;
+  ts_inner_dd : int;
+      (** |byte delta| per iteration of this occurrence's innermost
+          enclosing loop, [0] outside any loop or when the subscripts are
+          not affine in its iterator — approx line-stepping eligibility *)
+}
 
 (** One computation occurrence in a trace stream. The [y_cid]-keyed memo
-    at runtime replicates {!Daisy_machine.Trace_compile}: the first
-    executed occurrence provides sites, flop class and atomics for every
-    later occurrence; only [y_in_simd] stays per-occurrence. *)
+    at runtime replicates the trace walker's: the first executed
+    occurrence provides sites, flop class and atomics for every later
+    occurrence; only [y_in_simd] and the sites' [ts_inner_dd] stay
+    per-occurrence. *)
 type tcomp = {
   y_cid : int;
   y_err : string option;  (** compile-time error, raised at every execution *)
@@ -378,8 +387,8 @@ let eval_xcode ~(xpool : int array) ~(names : string array)
   done;
   stack.(0)
 
-(** Bind an {!ix} to a thunk over a register file, with the same
-    specialization ladder as the closure compilers. *)
+(** Bind an {!ix} to a thunk over a register file, specialized by
+    operand form (constant, register, affine, xcode). *)
 let binder ~(pool : int array) ~(xpool : int array) ~(names : string array)
     ~(regs : int array) ~(xstack : int array) (ix : ix) : unit -> int =
   match ix with
@@ -469,7 +478,7 @@ let xpush_depth em =
   em.xdepth <- em.xdepth + 1;
   if em.xdepth > em.max_xstack then em.max_xstack <- em.xdepth
 
-(* Emission order matches the closure trees' observable evaluation order:
+(* Emission order matches the reference walkers' evaluation order:
    [fa it + fb it] applies [fb] first (OCaml right-to-left), while
    div/mod bind [let x = fa it and y = fb it] left-to-right. *)
 let rec emit_x em sec resolve ~checked (e : Expr.t) : unit =
@@ -536,7 +545,7 @@ let lower_xcode em sec resolve ~checked e : ix =
 
 (** Lower an integer expression: affine fast path with all variables
     resolved (size parameters folded into the base), whole-expression
-    xcode fallback otherwise — the same split as [Compile.compile_int].
+    xcode fallback otherwise.
     Returns the new ix id in [sec]. *)
 let lower_ix em sec resolve ~checked (e : Expr.t) : int =
   let ix =
@@ -891,7 +900,7 @@ let peephole (fuses : fuse gvec) (code : int array) : unit =
 
 (** Depth-first left-to-right scan for the first variable that neither
     the slot table nor the parameter environment resolves — the variable
-    whose compilation raises first in the closure engines. *)
+    whose compilation raises first in the trace walker. *)
 let rec first_unbound resolve (e : Expr.t) : string option =
   match e with
   | Expr.Const _ -> None
@@ -912,7 +921,7 @@ let unbound_err resolve e =
   Option.map (fun v -> "unbound variable " ^ v) (first_unbound resolve e)
 
 (** The first compile-time error of a computation, scanning accesses in
-    the closure engines' construction order: deduped reads (arrays then
+    the trace walker's construction order: deduped reads (arrays then
     scalars-as-registers), then the destination; per access the container
     lookup first, then each subscript left to right (register containers
     skip subscripts entirely). *)
@@ -957,7 +966,7 @@ let dim_stride (dims : int array) (d : int) : int =
 
 (** Lower one non-register access to a byte-address generator. The fused
     [Ta_aff] form requires rank-exact, fully-affine, fully-resolved
-    subscripts; anything else keeps the compiled engine's row-major fold
+    subscripts; anything else keeps the trace walker's row-major fold
     over per-subscript generators. *)
 let lower_taccess em sec resolve ~base ~(dims : int array)
     (indices : Expr.t list) : taccess =
@@ -1047,7 +1056,7 @@ let lower_tnode em (hooks : trace_hooks) ~(param_env : int Util.SMap.t)
   let lower_i ie = lower_ix em sec resolve ~checked:false ie in
   let dummy_ix () = gpush sec.sc_ixs (Ix_const 0) in
   let rec walk nodes ~depth ~simd_iter ~unrolled ~atomic_region ~in_parallel
-      ~parallel_iter =
+      ~parallel_iter ~inner =
     List.iter
       (fun n ->
         match n with
@@ -1085,12 +1094,21 @@ let lower_tnode em (hooks : trace_hooks) ~(param_env : int Util.SMap.t)
                           | Some s -> s <> 0 && s <> 1
                           | None -> true)
                     in
+                    let inner_dd =
+                      match inner with
+                      | None -> 0
+                      | Some (it, step) -> (
+                          match hooks.th_simd_stride dims a.L.indices it with
+                          | Some s -> abs (8 * s * step)
+                          | None -> 0)
+                    in
                     Some
                       {
                         ts_acc =
                           lower_taccess em sec resolve ~base ~dims a.L.indices;
                         ts_write = write;
                         ts_strided = strided;
+                        ts_inner_dd = inner_dd;
                       }
                   end
                 in
@@ -1192,7 +1210,8 @@ let lower_tnode em (hooks : trace_hooks) ~(param_env : int Util.SMap.t)
                 (atomic_region || (starts_parallel && l.L.attrs.L.atomic))
               ~in_parallel:(in_parallel || starts_parallel)
               ~parallel_iter:
-                (if starts_parallel then Some l.L.iter else parallel_iter);
+                (if starts_parallel then Some l.L.iter else parallel_iter)
+              ~inner:(Some (l.L.iter, l.L.step));
             (* straight-line body: a run of [t_comp] only — record the
                comp ids so the trace replay can batch the whole trip *)
             let body_end = here () in
@@ -1214,7 +1233,7 @@ let lower_tnode em (hooks : trace_hooks) ~(param_env : int Util.SMap.t)
       nodes
   in
   walk [ node ] ~depth:0 ~simd_iter:None ~unrolled:false ~atomic_region:false
-    ~in_parallel:false ~parallel_iter:None;
+    ~in_parallel:false ~parallel_iter:None ~inner:None;
   emit t_halt;
   {
     t_code = Ivec.to_array sec.sc_code;

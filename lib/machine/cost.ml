@@ -83,25 +83,21 @@ let nest_cycles (config : Config.t) ~(threads : int) (c : Trace.counters) :
   { counters = c; threads_used = p; cycles = base +. t_atomic +. overhead }
 
 (** Which trace engine produces the counters. [Tree] is the original
-    walker (the oracle); [Compiled] is the closure-tree engine, bit-identical
-    to the walker; [Bytecode] is the flat-LIR engine, bit-identical to both
-    and the default; [Approx] is the compiled engine with line-granular
-    stepping and adaptive loop sampling (bounded relative error, see
-    docs/performance.md). *)
-type engine = Tree | Compiled | Bytecode | Approx of Trace_compile.approx
+    walker (the oracle); [Bytecode] is the flat-LIR engine, bit-identical
+    to the walker and the default; [Approx] is the bytecode walk with
+    line-granular stepping and adaptive loop sampling (bounded relative
+    error, see docs/performance.md). *)
+type engine = Tree | Bytecode | Approx of Trace_bc.approx
 
 let engine_of_string = function
   | "tree" -> Tree
-  | "compiled" -> Compiled
   | "bytecode" -> Bytecode
-  | "approx" -> Approx Trace_compile.default_approx
+  | "approx" -> Approx Trace_bc.default_approx
   | s ->
-      invalid_arg
-        ("unknown trace engine '" ^ s ^ "' (tree|compiled|bytecode|approx)")
+      invalid_arg ("unknown trace engine '" ^ s ^ "' (tree|bytecode|approx)")
 
 let string_of_engine = function
   | Tree -> "tree"
-  | Compiled -> "compiled"
   | Bytecode -> "bytecode"
   | Approx _ -> "approx"
 
@@ -114,10 +110,9 @@ let evaluate (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
   let counters =
     match engine with
     | Tree -> Trace.run config p ~sizes ~sample_outer ?budget ()
-    | Compiled -> Trace_compile.run config p ~sizes ~sample_outer ?budget ()
     | Bytecode -> Trace_bc.run config p ~sizes ~sample_outer ?budget ?memo ()
     | Approx a ->
-        Trace_compile.run config p ~sizes ~sample_outer ~approx:a ?budget ()
+        Trace_bc.run config p ~sizes ~sample_outer ~approx:a ?budget ()
   in
   let nests = List.map (nest_cycles config ~threads) counters in
   let total_cycles =
@@ -153,25 +148,23 @@ let fallbacks = Atomic.make 0
 let engine_fallbacks () = Atomic.get fallbacks
 let reset_engine_fallbacks () = Atomic.set fallbacks 0
 
-let warn_fallback engine next exn =
+let warn_fallback engine exn =
   let n = Atomic.fetch_and_add fallbacks 1 + 1 in
   (* per-label throttling (Diag.warn_throttled): a search over thousands
      of candidates cannot flood stderr, and each failing engine keeps its
      own counter *)
   Diag.warn_throttled
     ~label:("trace_fallback:" ^ string_of_engine engine)
-    "%s trace engine failed (%s); falling back to %s engine (fallback #%d)"
-    (string_of_engine engine) (Printexc.to_string exn)
-    (string_of_engine next) n
+    "%s trace engine failed (%s); falling back to tree engine (fallback #%d)"
+    (string_of_engine engine) (Printexc.to_string exn) n
 
 (** [evaluate_guarded config p ~sizes ... ?steps ()] — the resilient entry
     point the scheduler uses. Each attempt gets a fresh budget of [steps]
     walked loop iterations (unlimited when [steps] is [None]);
     [Budget.Exhausted] propagates so callers can map it to [infinity]
     fitness. Any other failure of a non-tree engine logs a throttled
-    warning, bumps {!engine_fallbacks}, and transparently re-runs one
-    engine down the bytecode -> compiled -> tree chain with a fresh
-    budget. *)
+    warning, bumps {!engine_fallbacks}, and transparently re-runs on the
+    tree walker with a fresh budget. *)
 let evaluate_guarded (config : Config.t) (p : Ir.program)
     ~(sizes : (string * int) list) ?threads ?sample_outer
     ?(engine = Bytecode) ?steps ?memo () : report =
@@ -182,23 +175,14 @@ let evaluate_guarded (config : Config.t) (p : Ir.program)
     evaluate config p ~sizes ?threads ?sample_outer ~engine:eng
       ~budget:(budget ()) ?memo ()
   in
-  let rec go eng =
-    let next =
-      match eng with
-      | Bytecode -> Some Compiled
-      | Compiled | Approx _ -> Some Tree
-      | Tree -> None
-    in
-    match next with
-    | None -> attempt eng
-    | Some down -> (
-        try attempt eng with
-        | Budget.Exhausted as e -> raise e
-        | e ->
-            warn_fallback eng down e;
-            go down)
-  in
-  go engine
+  match engine with
+  | Tree -> attempt Tree
+  | Bytecode | Approx _ -> (
+      try attempt engine with
+      | Budget.Exhausted as e -> raise e
+      | e ->
+          warn_fallback engine e;
+          attempt Tree)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-candidate simulation memo (re-exported from the bytecode

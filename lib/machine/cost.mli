@@ -24,17 +24,16 @@ type report = {
 
 val nest_cycles : Config.t -> threads:int -> Trace.counters -> nest_cost
 
-type engine = Tree | Compiled | Bytecode | Approx of Trace_compile.approx
+type engine = Tree | Bytecode | Approx of Trace_bc.approx
 (** Which trace engine produces the counters. [Tree] is the original walker
-    (the oracle); [Compiled] is the closure-tree engine, bit-identical to
-    the walker; [Bytecode] is the flat-LIR engine ({!Trace_bc}),
-    bit-identical to both and the default; [Approx] adds line-granular
-    stepping and adaptive loop sampling with bounded relative error
-    (docs/performance.md). *)
+    (the oracle); [Bytecode] is the flat-LIR engine ({!Trace_bc}),
+    bit-identical to the walker and the default; [Approx] runs the same
+    bytecode walk with line-granular stepping and adaptive loop sampling,
+    with bounded relative error (docs/performance.md). *)
 
 val engine_of_string : string -> engine
-(** Parse "tree" | "compiled" | "bytecode" | "approx"; raises
-    [Invalid_argument] otherwise. *)
+(** Parse "tree" | "bytecode" | "approx"; raises [Invalid_argument]
+    otherwise. *)
 
 val string_of_engine : engine -> string
 
@@ -82,10 +81,10 @@ val evaluate_guarded :
     [None]); [Budget.Exhausted] propagates so callers can map it to
     [infinity] fitness. Any other non-tree-engine failure logs a
     throttled warning, bumps {!engine_fallbacks} and transparently
-    re-runs one engine down the bytecode -> compiled -> tree chain. *)
+    re-runs on the tree walker. *)
 
 val engine_fallbacks : unit -> int
-(** Times {!evaluate_guarded} stepped down the engine chain. *)
+(** Times {!evaluate_guarded} fell back to the tree walker. *)
 
 val reset_engine_fallbacks : unit -> unit
 

@@ -112,6 +112,22 @@ let add_counters (a : counters) (b : counters) =
       writebacks = a.l2.Cache.writebacks +. b.l2.Cache.writebacks;
     }
 
+(** Bitwise equality of two counter records (floats compared through
+    [Int64.bits_of_float]) — the exact engines' contract. *)
+let counters_equal (a : counters) (b : counters) : bool =
+  let floats c =
+    let s1 = c.l1 and s2 = c.l2 in
+    [ c.flops; c.vec_flops; c.unrolled_flops; c.loads; c.stores;
+      c.gather_extra; c.spill_ops; c.atomics; c.atomics_private;
+      c.parallel_regions; c.par_trip; c.libcall_flops; c.libcall_bytes;
+      s1.Cache.accesses; s1.Cache.misses; s1.Cache.evicts; s1.Cache.writebacks;
+      s2.Cache.accesses; s2.Cache.misses; s2.Cache.evicts; s2.Cache.writebacks ]
+  in
+  a.has_parallel = b.has_parallel
+  && List.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       (floats a) (floats b)
+
 (* ------------------------------------------------------------------ *)
 (* Expression compilation: iterator slots + closed-over parameters      *)
 
@@ -281,8 +297,9 @@ let n_registers = 16
     exceed the architectural registers spills the excess to the stack —
     extra L1 loads and stores every iteration. This is what makes the big
     inlined-and-unrolled CLOUDSC bodies expensive (paper Table 1) and what
-    maximal fission repairs. Shared by the tree walker and the compiled
-    engine ([Trace_compile]) so their spill counts cannot drift. *)
+    maximal fission repairs. Shared by the tree walker and the bytecode
+    engine ([Trace_bc], through its lowering hooks) so their spill counts
+    cannot drift. *)
 let spill_estimate (l : Ir.loop) : int =
   let comps = Ir.comps_in l.Ir.body in
   let mem =

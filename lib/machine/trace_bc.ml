@@ -1,13 +1,13 @@
 (** Bytecode trace engine: the cost-model walk over the flat LIR.
 
-    The third trace engine. [Daisy_lir.Bytecode.lower ~hooks] produces one
+    [Daisy_lir.Bytecode.lower ~hooks] produces one
     trace section per top-level node — a flat [TLOOP]/[TLOOPBK]/[TCOMP]/
     [TCALL] stream whose operands index side tables of pre-resolved loop
     bounds, byte-address generators and computation descriptors — and this
     module walks those streams against the shared [Cache] simulator.
 
-    {b Exact contract}: bit-identical counters to [Trace_compile.run] in
-    exact mode (and hence to [Trace.run]): the same float additions in the
+    {b Exact contract}: bit-identical counters to the tree walker
+    [Trace.run] in exact mode: the same float additions in the
     same order, the same cache accesses in the same order, the same lazy
     error behavior (per-entity descriptors are consulted at execution
     time, so a node inside a zero-trip loop never raises), the same
@@ -43,12 +43,19 @@
     clock translation preserves, so the restored state is bit-identical to
     having re-walked the section.
 
-    Approx mode (line stepping, adaptive sampling) stays exclusive to
-    [Trace_compile]; the bytecode engine only replaces the exact path.
+    {b Approx mode} ([?approx], the [Cost.Approx] engine) walks the plain
+    dispatch loop with line stepping (a site whose byte delta per
+    iteration of its own occurrence's innermost loop divides the cache
+    line touches the simulator once per line, through a per-occurrence
+    last-line memo) and adaptive block sampling below depth 0 (block
+    snapshots at the back-edge after the spill charges; once two
+    consecutive blocks agree within [tol] the rest of the trip is
+    extrapolated). The batched replay and the memo are off; see
+    [docs/performance.md] for the accuracy contract.
 
     Fault points: ["bc_compile"] fires inside lowering, ["bc_run"] before
     the walk, ["trace_fuse"] before a batched walk — [Cost.evaluate_guarded]
-    degrades bytecode -> compiled -> tree on any of them. *)
+    falls back to the tree walker on any of them. *)
 
 open Daisy_support
 module Ir = Daisy_loopir.Ir
@@ -91,12 +98,19 @@ let lower (p : Ir.program) ~(param_env : int Util.SMap.t) : B.t =
 (* ------------------------------------------------------------------ *)
 (* Runtime                                                              *)
 
-(** One bound (executable) access site of a computation occurrence. *)
-type csite = { cs_fn : unit -> int; cs_write : bool; cs_gather : bool }
+(** One bound (executable) access site of a computation occurrence.
+    [cs_line] is the approx line-stepping memo: a [cs_step] site skips
+    the simulator while successive addresses stay on one cache line. *)
+type csite = {
+  cs_fn : unit -> int;
+  cs_write : bool;
+  cs_gather : bool;
+  cs_step : bool;
+  mutable cs_line : int;
+}
 
 (** A computation occurrence bound at its first execution against the
-    cid-memoized context — mirrors the per-node closures of
-    [Trace_compile]. *)
+    cid-memoized context. *)
 type ccomp = {
   k_sites : csite array;
   k_port : float;
@@ -105,6 +119,102 @@ type ccomp = {
   k_atomic : bool;
   k_contended : bool;
 }
+
+(* ------------------------------------------------------------------ *)
+(* Approx mode                                                          *)
+
+type approx = {
+  line_step : bool;  (** enable line-granular cache stepping *)
+  block : int;  (** iterations per stabilization block *)
+  tol : float;  (** relative tolerance on per-block counter deltas *)
+  min_trip : int;  (** loops with fewer iterations run exactly *)
+}
+
+(* Calibrated on the PolyBench/NPBench/CLOUDSC suite (see
+   docs/performance.md): worst-case total-cycle error ~3%. A block of 8
+   iterations spans one cache line of unit-stride doubles, so per-block
+   miss deltas are line-phase invariant. *)
+let default_approx = { line_step = true; block = 8; tol = 0.2; min_trip = 16 }
+
+(* number of float fields snapshotted by the adaptive sampler: 12 counter
+   fields + 4 L1 + 4 L2 cache statistics *)
+let n_fields = 20
+
+(** Per-loop scratch of the adaptive sampler (loops are not reentrant). *)
+type sampler = {
+  s_prev : float array;  (** snapshot at the previous block boundary *)
+  s_cur : float array;
+  d_prev : float array;  (** previous block's delta *)
+  d_cur : float array;
+  mutable s_on : bool;  (** the current entry is still block-sampled *)
+  mutable s_have : bool;  (** [d_prev] holds a complete block *)
+}
+
+let snap (counters : Trace.counters) cache (dst : float array) =
+  dst.(0) <- counters.Trace.flops;
+  dst.(1) <- counters.Trace.vec_flops;
+  dst.(2) <- counters.Trace.unrolled_flops;
+  dst.(3) <- counters.Trace.loads;
+  dst.(4) <- counters.Trace.stores;
+  dst.(5) <- counters.Trace.gather_extra;
+  dst.(6) <- counters.Trace.spill_ops;
+  dst.(7) <- counters.Trace.atomics;
+  dst.(8) <- counters.Trace.atomics_private;
+  dst.(9) <- counters.Trace.parallel_regions;
+  dst.(10) <- counters.Trace.libcall_flops;
+  dst.(11) <- counters.Trace.libcall_bytes;
+  let s1 = Cache.l1_stats cache and s2 = Cache.l2_stats cache in
+  dst.(12) <- s1.Cache.accesses;
+  dst.(13) <- s1.Cache.misses;
+  dst.(14) <- s1.Cache.evicts;
+  dst.(15) <- s1.Cache.writebacks;
+  dst.(16) <- s2.Cache.accesses;
+  dst.(17) <- s2.Cache.misses;
+  dst.(18) <- s2.Cache.evicts;
+  dst.(19) <- s2.Cache.writebacks
+
+(** Charge [factor] more blocks of delta [d] to the counters and to the
+    cache statistics. *)
+let extrapolate (counters : Trace.counters) cache (d : float array)
+    (factor : float) =
+  counters.Trace.flops <- counters.Trace.flops +. (factor *. d.(0));
+  counters.Trace.vec_flops <- counters.Trace.vec_flops +. (factor *. d.(1));
+  counters.Trace.unrolled_flops <-
+    counters.Trace.unrolled_flops +. (factor *. d.(2));
+  counters.Trace.loads <- counters.Trace.loads +. (factor *. d.(3));
+  counters.Trace.stores <- counters.Trace.stores +. (factor *. d.(4));
+  counters.Trace.gather_extra <-
+    counters.Trace.gather_extra +. (factor *. d.(5));
+  counters.Trace.spill_ops <- counters.Trace.spill_ops +. (factor *. d.(6));
+  counters.Trace.atomics <- counters.Trace.atomics +. (factor *. d.(7));
+  counters.Trace.atomics_private <-
+    counters.Trace.atomics_private +. (factor *. d.(8));
+  counters.Trace.parallel_regions <-
+    counters.Trace.parallel_regions +. (factor *. d.(9));
+  counters.Trace.libcall_flops <-
+    counters.Trace.libcall_flops +. (factor *. d.(10));
+  counters.Trace.libcall_bytes <-
+    counters.Trace.libcall_bytes +. (factor *. d.(11));
+  let s1 = Cache.l1_stats cache and s2 = Cache.l2_stats cache in
+  s1.Cache.accesses <- s1.Cache.accesses +. (factor *. d.(12));
+  s1.Cache.misses <- s1.Cache.misses +. (factor *. d.(13));
+  s1.Cache.evicts <- s1.Cache.evicts +. (factor *. d.(14));
+  s1.Cache.writebacks <- s1.Cache.writebacks +. (factor *. d.(15));
+  s2.Cache.accesses <- s2.Cache.accesses +. (factor *. d.(16));
+  s2.Cache.misses <- s2.Cache.misses +. (factor *. d.(17));
+  s2.Cache.evicts <- s2.Cache.evicts +. (factor *. d.(18));
+  s2.Cache.writebacks <- s2.Cache.writebacks +. (factor *. d.(19))
+
+let stable ~tol (a : float array) (b : float array) =
+  let ok = ref true in
+  for k = 0 to n_fields - 1 do
+    let x = a.(k) and y = b.(k) in
+    if
+      Float.abs (x -. y)
+      > tol *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
+    then ok := false
+  done;
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* Batched replay plans                                                 *)
@@ -197,10 +307,12 @@ let batch_default =
   match Sys.getenv_opt "DAISY_TRACE_FUSE" with Some "0" -> false | _ -> true
 
 
-(** Walk one trace section; returns its counters, exactly like
-    [Trace_compile.trace_node]. *)
-let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
-    (tn : B.tnode) : Trace.counters =
+(** Walk one trace section; returns its counters. [approx] switches on
+    line stepping and adaptive block sampling and switches off the
+    batched replay. *)
+let trace_tnode ?(batch = batch_default) ?approx (wctx : Trace.walk_ctx)
+    (bc : B.t) (tn : B.tnode) : Trace.counters =
+  let batch = batch && approx = None in
   let config = wctx.Trace.config in
   let cache = wctx.Trace.cache in
   let budget = wctx.Trace.budget in
@@ -217,6 +329,26 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
   let vw = float_of_int config.Config.vector_width in
   let line_shift = Cache.l1_line_shift cache in
   let line_bytes = 1 lsl line_shift in
+  (* approx line stepping tests the configured line size, not the
+     simulator's power-of-two rounding of it *)
+  let cfg_line = config.Config.l1.Config.line_bytes in
+  let steppable (ts : B.tsite) =
+    match approx with
+    | Some { line_step = true; _ } ->
+        let d = ts.B.ts_inner_dd in
+        d <> 0 && d < cfg_line && cfg_line mod d = 0
+    | _ -> false
+  in
+  let block, tol, min_trip =
+    match approx with
+    | Some ap when ap.block > 0 && ap.min_trip < max_int ->
+        (ap.block, ap.tol, ap.min_trip)
+    | _ -> (0, 0.0, max_int)
+  in
+  let l1_lines = config.Config.l1.Config.size_bytes / cfg_line in
+  let l2_lines =
+    config.Config.l2.Config.size_bytes / config.Config.l2.Config.line_bytes
+  in
   (* loop runtime state, indexed by loop id (loops are not reentrant) *)
   let nl = Array.length tn.B.t_loops in
   let lo_fns = Array.make nl (fun () -> 0) in
@@ -231,6 +363,7 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
   let trips = Array.make (max 1 nl) 0 in
   let counts = Array.make (max 1 nl) 0 in
   let plans = Array.make (max 1 nl) Bunknown in
+  let samplers : sampler option array = Array.make (max 1 nl) None in
   (* spill slots: counts memoized per lid so duplicated subtrees share,
      allocation order = first-execution order, base advances only for
      loops that actually spill *)
@@ -243,7 +376,7 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
   let nc = Array.length tn.B.t_comps in
   let comp_rt : ccomp option array = Array.make (max 1 nc) None in
   let comp_memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let bind_site ~(in_simd : bool) (ts : B.tsite) : csite =
+  let bind_site ~(in_simd : bool) ~(step : bool) (ts : B.tsite) : csite =
     let fn =
       match ts.B.ts_acc with
       | B.Ta_aff (off, n) -> bind (B.Ix_aff (off, n))
@@ -259,8 +392,13 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
             if nd <> ni then raise (Trace.Unsupported_trace "rank mismatch");
             base + (8 * !acc)
     in
-    { cs_fn = fn; cs_write = ts.B.ts_write;
-      cs_gather = ts.B.ts_strided && in_simd }
+    {
+      cs_fn = fn;
+      cs_write = ts.B.ts_write;
+      cs_gather = ts.B.ts_strided && in_simd;
+      cs_step = step;
+      cs_line = -1;
+    }
   in
   let bind_comp (id : int) (y : B.tcomp) : ccomp =
     let mid =
@@ -271,10 +409,17 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
           id
     in
     let m = tn.B.t_comps.(mid) in
+    (* addresses come from the memoized occurrence, line-step eligibility
+       from this occurrence's own innermost loop *)
+    let step s =
+      s < Array.length y.B.y_sites && steppable y.B.y_sites.(s)
+    in
     let k =
       {
         k_sites =
-          Array.map (bind_site ~in_simd:y.B.y_in_simd) m.B.y_sites;
+          Array.mapi
+            (fun s ts -> bind_site ~in_simd:y.B.y_in_simd ~step:(step s) ts)
+            m.B.y_sites;
         k_port = (if m.B.y_class = 1 then 1.0 /. vw else 1.0);
         k_class = m.B.y_class;
         k_flops = m.B.y_flops;
@@ -602,7 +747,15 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
       let port = k.k_port in
       for s = 0 to Array.length sites - 1 do
         let a = sites.(s) in
-        Cache.access cache ~addr:(a.cs_fn ()) ~write:a.cs_write;
+        let addr = a.cs_fn () in
+        (if a.cs_step then begin
+           let ln = addr lsr line_shift in
+           if ln <> a.cs_line then begin
+             a.cs_line <- ln;
+             Cache.access cache ~addr ~write:a.cs_write
+           end
+         end
+         else Cache.access cache ~addr ~write:a.cs_write);
         if a.cs_write then
           counters.Trace.stores <- counters.Trace.stores +. port
         else counters.Trace.loads <- counters.Trace.loads +. port;
@@ -671,6 +824,27 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
       in
       trips.(id) <- trip;
       counts.(id) <- count;
+      (* a sampled entry always ends with [s_on] cleared: by the cut, or
+         at the last block boundary that leaves less than a block *)
+      if block > 0 && (not w.B.w_depth0) && trip >= min_trip
+         && trip >= 2 * block
+      then begin
+        let sm =
+          match samplers.(id) with
+          | Some sm -> sm
+          | None ->
+              let mk () = Array.make n_fields 0.0 in
+              let sm =
+                { s_prev = mk (); s_cur = mk (); d_prev = mk ();
+                  d_cur = mk (); s_on = false; s_have = false }
+              in
+              samplers.(id) <- Some sm;
+              sm
+        in
+        snap counters cache sm.s_prev;
+        sm.s_on <- true;
+        sm.s_have <- false
+      end;
       if count = 0 then pc := end_pc
       else begin
         rem.(id) <- count;
@@ -879,7 +1053,46 @@ let trace_tnode ?(batch = batch_default) (wctx : Trace.walk_ctx) (bc : B.t)
       end;
       let r = rem.(id) - 1 in
       rem.(id) <- r;
-      if r > 0 then begin
+      (* approx: at each block boundary compare this block's delta with
+         the previous one; once two agree, extrapolate the rest of the
+         trip and leave the loop *)
+      let cut =
+        match samplers.(id) with
+        | Some sm when sm.s_on ->
+            let executed = counts.(id) - r in
+            if executed mod block <> 0 then false
+            else begin
+              snap counters cache sm.s_cur;
+              for k = 0 to n_fields - 1 do
+                sm.d_cur.(k) <- sm.s_cur.(k) -. sm.s_prev.(k)
+              done;
+              if sm.s_have && stable ~tol sm.d_prev sm.d_cur then begin
+                let factor =
+                  float_of_int (trips.(id) - executed) /. float_of_int block
+                in
+                extrapolate counters cache sm.d_cur factor;
+                (* if the skipped iterations would have streamed more
+                   distinct lines through a level than it holds, the tag
+                   state at the cut tells later code nothing: flush that
+                   level (the skipped misses were already charged) *)
+                if factor *. sm.d_cur.(13) >= float_of_int l1_lines then
+                  Cache.flush_l1 cache;
+                if factor *. sm.d_cur.(17) >= float_of_int l2_lines then
+                  Cache.flush_l2 cache;
+                sm.s_on <- false;
+                true
+              end
+              else begin
+                Array.blit sm.d_cur 0 sm.d_prev 0 n_fields;
+                Array.blit sm.s_cur 0 sm.s_prev 0 n_fields;
+                sm.s_have <- true;
+                if executed + block > trips.(id) then sm.s_on <- false;
+                false
+              end
+            end
+        | _ -> false
+      in
+      if r > 0 && not cut then begin
         let w = tn.B.t_loops.(id) in
         let i = cur.(id) + w.B.w_step in
         cur.(id) <- i;
@@ -989,14 +1202,18 @@ let memo_stats (m : memo) : int * int =
 let fingerprint (bc : B.t) (tn : B.tnode) : string =
   Marshal.to_string (tn, bc.B.names) [ Marshal.No_sharing ]
 
-(** [run config p ~sizes ?sample_outer ?budget ?batch ?memo ()] — lower
-    once, walk every trace section; drop-in replacement for
-    [Trace_compile.run] exact mode. [batch] enables the fused batched
+(** [run config p ~sizes ?sample_outer ?budget ?batch ?memo ?approx ()] —
+    lower once, walk every trace section; per-top-level-node counters in
+    order, exactly like [Trace.run]. [batch] enables the fused batched
     replay (default on; [DAISY_TRACE_FUSE=0] flips the default); [memo]
-    shares simulation results across calls with an identical config. *)
+    shares simulation results across calls with an identical config.
+    [approx] turns on line stepping and adaptive sampling, and turns off
+    both the batched replay and the memo. *)
 let run (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
     ?(sample_outer = 0) ?(budget = Budget.unlimited ())
-    ?(batch = batch_default) ?memo () : Trace.counters list =
+    ?(batch = batch_default) ?memo ?approx () : Trace.counters list =
+  let batch = batch && approx = None in
+  let memo = if approx = None then memo else None in
   Fault.inject "bc_run";
   if batch then Fault.inject "trace_fuse";
   let param_env =
@@ -1017,7 +1234,7 @@ let run (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
   let state = ref (-1) in
   let eval (tnl : B.tnode) : Trace.counters =
     match memo with
-    | None -> trace_tnode ~batch wctx bc tnl
+    | None -> trace_tnode ~batch ?approx wctx bc tnl
     | Some m ->
         if !state = -2 then trace_tnode ~batch wctx bc tnl
         else begin

@@ -1,546 +1,3 @@
-(** Compiled trace engine: the fast path of the cost model.
-
-    Mirrors the [lib/interp/compile] design for the machine-model walker
-    ([Trace]): one pass turns each top-level node of an [Ir.program] into a
-    tree of closures — loop iterators live in slots of one preallocated
-    [int array], every access carries a precompiled affine address
-    generator ([base + Σ coeff·slot] with size parameters folded into the
-    base via [Trace.compile_expr]), and every computation becomes a
-    counter-bump closure feeding the existing [Cache] simulator.
-
-    {b Exact mode} (no [approx]) is {e bit-identical} to [Trace.run]: the
-    same float additions in the same order, the same cache accesses in the
-    same order, the same lazy compilation behavior (a node inside a
-    zero-trip loop is never compiled, so error behavior matches the
-    walker's visit-time compilation), the same first-visit spill-slot
-    allocation order, and the same depth-0 [sample_outer] semantics.
-    [test/test_trace.ml] enforces this differentially.
-
-    {b Approx mode} adds two asymptotic wins on top of the compiled tree,
-    both documented in [docs/performance.md]:
-
-    - {e line-granular stepping}: an access whose per-iteration address
-      delta w.r.t. the immediately enclosing loop is a non-zero divisor of
-      the cache line touches the simulator once per {e line} instead of
-      once per element; element-level [loads]/[stores]/flops are still
-      charged exactly.
-    - {e multi-level sampling}: any loop at depth >= 1 whose per-block
-      counter deltas stabilize (within [tol], after [warm] warm-up blocks)
-      is cut short and the remaining iterations are extrapolated linearly
-      into both the counters and the cache statistics. The exact walker
-      stays the oracle for the accuracy contract. *)
-
-open Daisy_support
-module Ir = Daisy_loopir.Ir
-
-type approx = {
-  line_step : bool;  (** enable line-granular cache stepping *)
-  block : int;  (** iterations per stabilization block *)
-  warm : int;  (** leading blocks excluded from the stability test *)
-  tol : float;  (** relative tolerance on per-block counter deltas *)
-  min_trip : int;  (** loops with fewer iterations run exactly *)
-}
-
-(* Calibrated on the PolyBench/NPBench/CLOUDSC suite (see
-   docs/performance.md): worst-case total-cycle error ~3% at a geomean
-   ~12x speedup over the exact compiled engine. A block of 8 iterations
-   spans one cache line of unit-stride doubles, so per-block miss deltas
-   are line-phase invariant. *)
-let default_approx =
-  { line_step = true; block = 8; warm = 0; tol = 0.2; min_trip = 16 }
-
-(** Line-granular stepping only — adaptive loop sampling disabled. Used by
-    the cache tests to check per-element vs per-line agreement. *)
-let line_step_only =
-  { line_step = true; block = 1; warm = 0; tol = 0.0; min_trip = max_int }
-
-(** Bitwise equality of two counter records (floats compared through
-    [Int64.bits_of_float]) — the exact-mode contract. *)
-let counters_equal (a : Trace.counters) (b : Trace.counters) : bool =
-  let feq x y = Int64.bits_of_float x = Int64.bits_of_float y in
-  let seq (x : Cache.stats) (y : Cache.stats) =
-    feq x.Cache.accesses y.Cache.accesses
-    && feq x.Cache.misses y.Cache.misses
-    && feq x.Cache.evicts y.Cache.evicts
-    && feq x.Cache.writebacks y.Cache.writebacks
-  in
-  feq a.Trace.flops b.Trace.flops
-  && feq a.Trace.vec_flops b.Trace.vec_flops
-  && feq a.Trace.unrolled_flops b.Trace.unrolled_flops
-  && feq a.Trace.loads b.Trace.loads
-  && feq a.Trace.stores b.Trace.stores
-  && feq a.Trace.gather_extra b.Trace.gather_extra
-  && feq a.Trace.spill_ops b.Trace.spill_ops
-  && feq a.Trace.atomics b.Trace.atomics
-  && feq a.Trace.atomics_private b.Trace.atomics_private
-  && feq a.Trace.parallel_regions b.Trace.parallel_regions
-  && feq a.Trace.par_trip b.Trace.par_trip
-  && a.Trace.has_parallel = b.Trace.has_parallel
-  && feq a.Trace.libcall_flops b.Trace.libcall_flops
-  && feq a.Trace.libcall_bytes b.Trace.libcall_bytes
-  && seq a.Trace.l1 b.Trace.l1
-  && seq a.Trace.l2 b.Trace.l2
-
-(* ------------------------------------------------------------------ *)
-(* Compilation                                                          *)
-
-(** One memory-access site of a compiled computation. [last_line] is the
-    line-stepping memo: the site skips the simulator while successive
-    addresses stay on the same cache line. *)
-type site = {
-  addr_fn : int array -> int;
-  write : bool;
-  gather : bool;  (** bump [gather_extra] on every execution *)
-  line_skip : bool;  (** statically eligible for line-granular stepping *)
-  mutable last_line : int;
-}
-
-(** Compile a node only at its first execution, memoized. This replicates
-    the tree walker exactly: nodes inside zero-trip loops are never
-    compiled (lazy errors), and first-execution order drives the spill
-    stack-slot allocation order. *)
-let lazily (compile : unit -> unit -> unit) : unit -> unit =
-  let cell = ref None in
-  fun () ->
-    match !cell with
-    | Some f -> f ()
-    | None ->
-        let f = compile () in
-        cell := Some f;
-        f ()
-
-(* number of float fields snapshotted by the adaptive sampler: 12 counter
-   fields + 4 L1 + 4 L2 cache statistics *)
-let n_fields = 20
-
-(** Compile and trace one top-level node; returns its counters. *)
-let trace_node (wctx : Trace.walk_ctx) ?(approx : approx option)
-    (node : Ir.node) : Trace.counters =
-  let config = wctx.Trace.config in
-  let cache = wctx.Trace.cache in
-  let budget = wctx.Trace.budget in
-  let counters = Trace.zero_counters () in
-  let l1_before = Cache.copy_stats (Cache.l1_stats cache) in
-  let l2_before = Cache.copy_stats (Cache.l2_stats cache) in
-  (* iterator slots: same per-name assignment as the walker *)
-  let iter_names =
-    Ir.loops_in [ node ]
-    |> List.map (fun (l : Ir.loop) -> l.Ir.iter)
-    |> Util.dedup ~eq:String.equal
-  in
-  let slot_tbl = Hashtbl.create 8 in
-  List.iteri (fun i n -> Hashtbl.replace slot_tbl n i) iter_names;
-  let cctx =
-    {
-      Trace.slot_of = (fun n -> Hashtbl.find_opt slot_tbl n);
-      param_env = wctx.Trace.param_env;
-    }
-  in
-  let iters = Array.make (max 1 (List.length iter_names)) 0 in
-  let gather_mult = float_of_int config.Config.vector_width -. 1.0 in
-  let comp_cache : (int, Trace.compiled_comp) Hashtbl.t = Hashtbl.create 64 in
-  let spill_info : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-  let stack_base = ref 1024 in
-  let spills_of (l : Ir.loop) : int * int =
-    match Hashtbl.find_opt spill_info l.Ir.lid with
-    | Some s -> s
-    | None ->
-        let spills = Trace.spill_estimate l in
-        let base = !stack_base in
-        if spills > 0 then stack_base := !stack_base + (spills * 8);
-        Hashtbl.replace spill_info l.Ir.lid (spills, base);
-        (spills, base)
-  in
-  let scale_factor = ref 1.0 in
-  let line_bytes = config.Config.l1.Config.line_bytes in
-  let l1_lines = config.Config.l1.Config.size_bytes / line_bytes in
-  let l2_lines =
-    config.Config.l2.Config.size_bytes / config.Config.l2.Config.line_bytes
-  in
-  (* the simulated cache's own shift: [Cache.make_level] rounds
-     non-power-of-two line sizes down, so deriving the shift here from the
-     raw config could disagree with the lines the cache actually tracks *)
-  let line_shift = Cache.l1_line_shift cache in
-  (* --- adaptive-sampling machinery (approx mode only) --------------- *)
-  let snap (dst : float array) =
-    dst.(0) <- counters.Trace.flops;
-    dst.(1) <- counters.Trace.vec_flops;
-    dst.(2) <- counters.Trace.unrolled_flops;
-    dst.(3) <- counters.Trace.loads;
-    dst.(4) <- counters.Trace.stores;
-    dst.(5) <- counters.Trace.gather_extra;
-    dst.(6) <- counters.Trace.spill_ops;
-    dst.(7) <- counters.Trace.atomics;
-    dst.(8) <- counters.Trace.atomics_private;
-    dst.(9) <- counters.Trace.parallel_regions;
-    dst.(10) <- counters.Trace.libcall_flops;
-    dst.(11) <- counters.Trace.libcall_bytes;
-    let s1 = Cache.l1_stats cache and s2 = Cache.l2_stats cache in
-    dst.(12) <- s1.Cache.accesses;
-    dst.(13) <- s1.Cache.misses;
-    dst.(14) <- s1.Cache.evicts;
-    dst.(15) <- s1.Cache.writebacks;
-    dst.(16) <- s2.Cache.accesses;
-    dst.(17) <- s2.Cache.misses;
-    dst.(18) <- s2.Cache.evicts;
-    dst.(19) <- s2.Cache.writebacks
-  in
-  let extrapolate (d : float array) (factor : float) =
-    counters.Trace.flops <- counters.Trace.flops +. (factor *. d.(0));
-    counters.Trace.vec_flops <- counters.Trace.vec_flops +. (factor *. d.(1));
-    counters.Trace.unrolled_flops <-
-      counters.Trace.unrolled_flops +. (factor *. d.(2));
-    counters.Trace.loads <- counters.Trace.loads +. (factor *. d.(3));
-    counters.Trace.stores <- counters.Trace.stores +. (factor *. d.(4));
-    counters.Trace.gather_extra <-
-      counters.Trace.gather_extra +. (factor *. d.(5));
-    counters.Trace.spill_ops <- counters.Trace.spill_ops +. (factor *. d.(6));
-    counters.Trace.atomics <- counters.Trace.atomics +. (factor *. d.(7));
-    counters.Trace.atomics_private <-
-      counters.Trace.atomics_private +. (factor *. d.(8));
-    counters.Trace.parallel_regions <-
-      counters.Trace.parallel_regions +. (factor *. d.(9));
-    counters.Trace.libcall_flops <-
-      counters.Trace.libcall_flops +. (factor *. d.(10));
-    counters.Trace.libcall_bytes <-
-      counters.Trace.libcall_bytes +. (factor *. d.(11));
-    let s1 = Cache.l1_stats cache and s2 = Cache.l2_stats cache in
-    s1.Cache.accesses <- s1.Cache.accesses +. (factor *. d.(12));
-    s1.Cache.misses <- s1.Cache.misses +. (factor *. d.(13));
-    s1.Cache.evicts <- s1.Cache.evicts +. (factor *. d.(14));
-    s1.Cache.writebacks <- s1.Cache.writebacks +. (factor *. d.(15));
-    s2.Cache.accesses <- s2.Cache.accesses +. (factor *. d.(16));
-    s2.Cache.misses <- s2.Cache.misses +. (factor *. d.(17));
-    s2.Cache.evicts <- s2.Cache.evicts +. (factor *. d.(18));
-    s2.Cache.writebacks <- s2.Cache.writebacks +. (factor *. d.(19))
-  in
-  let stable ~tol (a : float array) (b : float array) =
-    let ok = ref true in
-    for k = 0 to n_fields - 1 do
-      let x = a.(k) and y = b.(k) in
-      if
-        Float.abs (x -. y)
-        > tol *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y))
-      then ok := false
-    done;
-    !ok
-  in
-  (* --- node compilation --------------------------------------------- *)
-  (* [inner] is the immediately enclosing loop (iterator, step): the
-     fastest-varying dimension of any access compiled below it, used for
-     line-stepping eligibility. *)
-  let rec compile_nodes nodes ~depth ~simd_iter ~unrolled ~atomic_region
-      ~in_parallel ~parallel_iter ~inner : unit -> unit =
-    let fs =
-      List.map
-        (fun n ->
-          compile_node n ~depth ~simd_iter ~unrolled ~atomic_region
-            ~in_parallel ~parallel_iter ~inner)
-        nodes
-    in
-    match fs with
-    | [] -> fun () -> ()
-    | [ f ] -> f
-    | fs ->
-        let a = Array.of_list fs in
-        let n = Array.length a in
-        fun () ->
-          for i = 0 to n - 1 do
-            a.(i) ()
-          done
-  and compile_node n ~depth ~simd_iter ~unrolled ~atomic_region ~in_parallel
-      ~parallel_iter ~inner : unit -> unit =
-    match n with
-    | Ir.Ncomp c ->
-        lazily (fun () ->
-            let cc =
-              match Hashtbl.find_opt comp_cache c.Ir.cid with
-              | Some cc -> cc
-              | None ->
-                  let cc =
-                    Trace.compile_comp cctx wctx ~simd_iter ~unrolled
-                      ~atomic_region ~parallel_iter c
-                  in
-                  Hashtbl.replace comp_cache c.Ir.cid cc;
-                  cc
-            in
-            let port_cost =
-              if cc.Trace.flop_class = `Vector then
-                1.0 /. float_of_int config.Config.vector_width
-              else 1.0
-            in
-            let in_simd = simd_iter <> None in
-            (* raw access list in [compile_comp]'s construction order, to
-               pair each compiled access with its subscripts for the
-               line-stepping analysis *)
-            let raw =
-              Util.dedup ~eq:( = )
-                (Ir.comp_array_reads c
-                @ List.map
-                    (fun s -> { Ir.array = s; indices = [] })
-                    (Ir.comp_scalar_reads c))
-              @ (match c.Ir.dest with
-                | Ir.Darray a -> [ a ]
-                | Ir.Dscalar s -> [ { Ir.array = s; indices = [] } ])
-            in
-            let steppable (ra : Ir.access) =
-              match approx with
-              | Some ap when ap.line_step -> (
-                  match inner with
-                  | None -> false
-                  | Some (it, step) -> (
-                      let dims = wctx.Trace.layout.Trace.dims_of ra.Ir.array in
-                      Array.length dims > 0
-                      &&
-                      match Trace.simd_stride dims ra.Ir.indices it with
-                      | Some s ->
-                          let d = abs (8 * s * step) in
-                          d <> 0 && d < line_bytes && line_bytes mod d = 0
-                      | None -> false))
-              | _ -> false
-            in
-            let sites =
-              List.map2
-                (fun ra (a : Trace.compiled_access) ->
-                  if a.Trace.is_register then None
-                  else
-                    Some
-                      {
-                        addr_fn = a.Trace.addr_fn;
-                        write = a.Trace.write;
-                        gather = a.Trace.strided_in_simd && in_simd;
-                        line_skip = steppable ra;
-                        last_line = -1;
-                      })
-                raw cc.Trace.accesses
-              |> List.filter_map Fun.id
-            in
-            let sites = Array.of_list sites in
-            let ns = Array.length sites in
-            let fl = cc.Trace.comp_flops in
-            let bump_flops =
-              match cc.Trace.flop_class with
-              | `Vector ->
-                  fun () ->
-                    counters.Trace.vec_flops <- counters.Trace.vec_flops +. fl
-              | `Unrolled ->
-                  fun () ->
-                    counters.Trace.unrolled_flops <-
-                      counters.Trace.unrolled_flops +. fl
-              | `Scalar ->
-                  fun () -> counters.Trace.flops <- counters.Trace.flops +. fl
-            in
-            let bump_tail =
-              if cc.Trace.is_atomic then
-                if cc.Trace.atomic_contended then fun () ->
-                  bump_flops ();
-                  counters.Trace.atomics <- counters.Trace.atomics +. 1.0
-                else fun () ->
-                  bump_flops ();
-                  counters.Trace.atomics_private <-
-                    counters.Trace.atomics_private +. 1.0
-              else bump_flops
-            in
-            fun () ->
-              for s = 0 to ns - 1 do
-                let a = sites.(s) in
-                let addr = a.addr_fn iters in
-                (if a.line_skip then begin
-                   let ln = addr lsr line_shift in
-                   if ln <> a.last_line then begin
-                     a.last_line <- ln;
-                     Cache.access cache ~addr ~write:a.write
-                   end
-                 end
-                 else Cache.access cache ~addr ~write:a.write);
-                if a.write then
-                  counters.Trace.stores <- counters.Trace.stores +. port_cost
-                else counters.Trace.loads <- counters.Trace.loads +. port_cost;
-                if a.gather then
-                  counters.Trace.gather_extra <-
-                    counters.Trace.gather_extra +. gather_mult
-              done;
-              bump_tail ())
-    | Ir.Ncall k ->
-        lazily (fun () ->
-            let fdims = List.map (Trace.compile_expr cctx) k.Ir.dims in
-            let kernel = k.Ir.kernel in
-            fun () ->
-              let dims = List.map (fun f -> f iters) fdims in
-              counters.Trace.libcall_flops <-
-                counters.Trace.libcall_flops
-                +. (try Daisy_blas.Kernels.flops kernel dims with _ -> 0.0);
-              counters.Trace.libcall_bytes <-
-                counters.Trace.libcall_bytes
-                +. (try Daisy_blas.Kernels.min_bytes kernel dims with _ -> 0.0))
-    | Ir.Nloop l ->
-        let starts_parallel = l.Ir.attrs.Ir.parallel && not in_parallel in
-        let simd_iter' =
-          if l.Ir.attrs.Ir.vectorized then Some l.Ir.iter else simd_iter
-        in
-        let unrolled' = unrolled || l.Ir.attrs.Ir.unroll > 1 in
-        let atomic' =
-          atomic_region || (starts_parallel && l.Ir.attrs.Ir.atomic)
-        in
-        let parallel_iter' =
-          if starts_parallel then Some l.Ir.iter else parallel_iter
-        in
-        let slot = Hashtbl.find slot_tbl l.Ir.iter in
-        let is_leaf = Ir.loops_in l.Ir.body = [] in
-        let step = l.Ir.step in
-        let adapt =
-          match approx with
-          | Some ap when depth >= 1 && ap.block > 0 && ap.min_trip < max_int ->
-              Some ap
-          | _ -> None
-        in
-        lazily (fun () ->
-            let flo = Trace.compile_expr cctx l.Ir.lo in
-            let fhi = Trace.compile_expr cctx l.Ir.hi in
-            let fbody =
-              compile_nodes l.Ir.body ~depth:(depth + 1) ~simd_iter:simd_iter'
-                ~unrolled:unrolled' ~atomic_region:atomic'
-                ~in_parallel:(in_parallel || starts_parallel)
-                ~parallel_iter:parallel_iter'
-                ~inner:(Some (l.Ir.iter, step))
-            in
-            (* per-loop scratch for the adaptive sampler (loops are not
-               reentrant, so compile-time allocation is safe) *)
-            let snap_prev = Array.make n_fields 0.0 in
-            let snap_cur = Array.make n_fields 0.0 in
-            let delta_prev = Array.make n_fields 0.0 in
-            let delta_cur = Array.make n_fields 0.0 in
-            let sp_memo = ref None in
-            fun () ->
-              let lo = flo iters in
-              let hi = fhi iters in
-              let trip =
-                if step > 0 then max 0 (((hi - lo) / step) + 1)
-                else max 0 (((lo - hi) / -step) + 1)
-              in
-              if starts_parallel then begin
-                counters.Trace.has_parallel <- true;
-                counters.Trace.parallel_regions <-
-                  counters.Trace.parallel_regions +. 1.0;
-                counters.Trace.par_trip <-
-                  Float.max counters.Trace.par_trip (float_of_int trip)
-              end;
-              let spills, spill_base =
-                match !sp_memo with
-                | Some sb -> sb
-                | None ->
-                    let sb = if is_leaf then spills_of l else (0, 0) in
-                    sp_memo := Some sb;
-                    sb
-              in
-              let fspills = float_of_int spills in
-              let run_iters i0 count =
-                let i = ref i0 in
-                for _ = 1 to count do
-                  Budget.tick budget;
-                  iters.(slot) <- !i;
-                  fbody ();
-                  for sp = 0 to spills - 1 do
-                    let addr = spill_base + (sp * 8) in
-                    Cache.access cache ~addr ~write:true;
-                    Cache.access cache ~addr ~write:false
-                  done;
-                  if spills > 0 then begin
-                    counters.Trace.loads <- counters.Trace.loads +. fspills;
-                    counters.Trace.stores <- counters.Trace.stores +. fspills;
-                    counters.Trace.spill_ops <-
-                      counters.Trace.spill_ops +. (2.0 *. fspills)
-                  end;
-                  i := !i + step
-                done;
-                !i
-              in
-              match adapt with
-              | Some ap when trip >= ap.min_trip && trip >= 2 * ap.block ->
-                  (* block-sampled execution: run whole blocks until two
-                     consecutive per-block deltas agree within [tol], then
-                     extrapolate the remaining iterations *)
-                  let b = ap.block in
-                  snap snap_prev;
-                  let i = ref lo in
-                  let executed = ref 0 in
-                  let blocks = ref 0 in
-                  let have_delta = ref false in
-                  let finished = ref false in
-                  while (not !finished) && !executed + b <= trip do
-                    i := run_iters !i b;
-                    executed := !executed + b;
-                    incr blocks;
-                    snap snap_cur;
-                    for k = 0 to n_fields - 1 do
-                      delta_cur.(k) <- snap_cur.(k) -. snap_prev.(k)
-                    done;
-                    if
-                      !have_delta
-                      && !blocks >= ap.warm + 2
-                      && stable ~tol:ap.tol delta_prev delta_cur
-                    then begin
-                      let factor =
-                        float_of_int (trip - !executed) /. float_of_int b
-                      in
-                      extrapolate delta_cur factor;
-                      (* if the skipped iterations would have streamed more
-                         distinct lines through a level than it holds, the
-                         tag state at the truncation point tells later code
-                         nothing — flush that level (stats are kept; the
-                         skipped misses were already charged by
-                         extrapolation). The per-level miss deltas estimate
-                         the skipped line traffic. *)
-                      if factor *. delta_cur.(13) >= float_of_int l1_lines
-                      then Cache.flush_l1 cache;
-                      if factor *. delta_cur.(17) >= float_of_int l2_lines
-                      then Cache.flush_l2 cache;
-                      finished := true
-                    end
-                    else begin
-                      Array.blit delta_cur 0 delta_prev 0 n_fields;
-                      Array.blit snap_cur 0 snap_prev 0 n_fields;
-                      have_delta := true
-                    end
-                  done;
-                  if not !finished then ignore (run_iters !i (trip - !executed))
-              | _ ->
-                  if
-                    depth = 0
-                    && wctx.Trace.sample_outer > 0
-                    && trip > wctx.Trace.sample_outer
-                  then begin
-                    ignore (run_iters lo wctx.Trace.sample_outer);
-                    scale_factor :=
-                      float_of_int trip /. float_of_int wctx.Trace.sample_outer
-                  end
-                  else ignore (run_iters lo trip))
-  in
-  let root =
-    compile_nodes [ node ] ~depth:0 ~simd_iter:None ~unrolled:false
-      ~atomic_region:false ~in_parallel:false ~parallel_iter:None ~inner:None
-  in
-  root ();
-  counters.Trace.l1 <- Cache.sub_stats (Cache.l1_stats cache) l1_before;
-  counters.Trace.l2 <- Cache.sub_stats (Cache.l2_stats cache) l2_before;
-  if !scale_factor > 1.0 then begin
-    let regions = counters.Trace.parallel_regions in
-    Trace.scale_counters counters !scale_factor;
-    if regions > 0.0 then counters.Trace.parallel_regions <- regions
-  end;
-  counters
-
-(** [run config p ~sizes ?sample_outer ?approx ()] — compile and trace the
-    whole program; returns per-top-level-node counters in order, exactly
-    like [Trace.run]. *)
-let run (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
-    ?(sample_outer = 0) ?approx ?(budget = Budget.unlimited ()) () :
-    Trace.counters list =
-  Fault.inject "trace_compile";
-  let param_env =
-    List.fold_left (fun m (k, v) -> Util.SMap.add k v m) Util.SMap.empty sizes
-  in
-  let layout = Trace.layout_of p ~sizes:param_env in
-  let cache = Cache.create config in
-  let wctx = { Trace.config; cache; layout; param_env; sample_outer; budget } in
-  List.map (trace_node wctx ?approx) p.Ir.body
+(** Alias kept for [perfbench/bench.ml], its only caller, which names the
+    approximate engine's defaults through this module. *)
+let default_approx = Trace_bc.default_approx

@@ -64,8 +64,7 @@ let request_ctx (base : ctx) ?engine ?eval_steps ?eval_deadline ?sizes () :
 (** Simulated runtime in milliseconds. Every evaluation goes through
     {!Cost.evaluate_guarded}: a fresh step budget per candidate
     ([Budget.Exhausted] escapes for the caller to penalize) and a
-    transparent step down the bytecode -> compiled -> tree engine chain
-    on engine failure. *)
+    transparent bytecode -> tree fallback on engine failure. *)
 let runtime_ms (ctx : ctx) (p : Ir.program) : float =
   Cost.milliseconds
     (Cost.evaluate_guarded ctx.config p ~sizes:ctx.sizes ~threads:ctx.threads

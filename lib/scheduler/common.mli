@@ -6,7 +6,7 @@ type ctx = {
   threads : int;
   sample_outer : int;  (** outer-loop sampling bound; 0 = exact *)
   engine : Daisy_machine.Cost.engine;
-      (** trace engine used for every evaluation (default [Compiled]) *)
+      (** trace engine used for every evaluation (default [Bytecode]) *)
   eval_steps : int option;
       (** per-evaluation step budget; [None] = unlimited *)
   eval_deadline : float option;
@@ -54,8 +54,8 @@ val runtime_ms : ctx -> Daisy_loopir.Ir.program -> float
 (** Simulated runtime in milliseconds, via
     [Daisy_machine.Cost.evaluate_guarded]: each evaluation gets a fresh
     budget of [eval_steps] walked iterations
-    ([Daisy_support.Budget.Exhausted] escapes) and compiled-engine
-    failures transparently fall back to the tree walker. *)
+    ([Daisy_support.Budget.Exhausted] escapes) and bytecode or approx
+    engine failures transparently fall back to the tree walker. *)
 
 val report : ctx -> Daisy_loopir.Ir.program -> Daisy_machine.Cost.report
 

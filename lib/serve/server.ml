@@ -22,8 +22,8 @@
     - under pressure (queue depth >= [degrade_depth]) evaluation
       degrades to the [Approx] cost engine and the response carries a
       [degraded] flag — never a silently wrong recipe (the engine
-      failure chain bytecode -> closure -> tree inside
-      [Cost.evaluate_guarded] is always active as well);
+      fallback to the tree walker inside [Cost.evaluate_guarded] is
+      always active as well);
     - SIGTERM/shutdown drains queued connections, then checkpoints the
       poison set and counters to the journal so a restarted daemon
       keeps refusing known-poison programs. *)
@@ -34,7 +34,7 @@ module Fault = Daisy_support.Fault
 module Budget = Daisy_support.Budget
 module Checkpoint = Daisy_support.Checkpoint
 module Cost = Daisy_machine.Cost
-module Trace_compile = Daisy_machine.Trace_compile
+module Trace_bc = Daisy_machine.Trace_bc
 module Interp = Daisy_interp.Interp
 module S_common = Daisy_scheduler.Common
 module S_daisy = Daisy_scheduler.Daisy
@@ -304,7 +304,7 @@ let handle_schedule t (r : P.schedule_request) : P.response =
             let queue_depth = Rqueue.length t.queue in
             let degraded = queue_depth >= t.config.degrade_depth in
             let engine =
-              if degraded then Cost.Approx Trace_compile.default_approx
+              if degraded then Cost.Approx Trace_bc.default_approx
               else t.base_ctx.S_common.engine
             in
             let eval_steps = min_opt r.P.budget t.config.eval_steps in

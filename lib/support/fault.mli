@@ -6,12 +6,12 @@
     raises {!exception:Injected}. Unarmed points cost one atomic load, so
     the hooks ship in production code paths.
 
-    Injection points in the tree today: ["interp_compile"] (compiled
-    interpreter entry), ["trace_compile"] (compiled trace engine entry),
-    ["pool_task"] (every pool-executed task), ["db_load"] (every database
-    entry parsed from disk), ["ann_build"] (every ANN index page written
-    to disk), ["ann_query"] (every ANN index query). See
-    docs/robustness.md.
+    Injection points in the tree include: ["bc_compile"] (bytecode
+    lowering), ["bc_run"] (bytecode interpreter and trace engine entry),
+    ["trace_fuse"] (batched trace replay entry), ["pool_task"] (every
+    pool-executed task), ["db_load"] (every database entry parsed from
+    disk), ["ann_build"] (every ANN index page written to disk),
+    ["ann_query"] (every ANN index query). See docs/robustness.md.
 
     Triggers:
     - [always] — fire on every call;
@@ -21,7 +21,7 @@
 
     [DAISY_FAULT] holds a comma-separated list of [label=trigger] specs
     and is read once at startup, e.g.
-    [DAISY_FAULT="trace_compile=nth:3,db_load=prob:0.1:ci"]. *)
+    [DAISY_FAULT="bc_run=nth:3,db_load=prob:0.1:ci"]. *)
 
 exception Injected of string
 (** Raised by {!inject} with the point's label. *)

@@ -4,13 +4,13 @@
     (every array element and scalar, compared bit for bit, plus identical
     [Runtime_error] messages), and the trace backend
     [Daisy_machine.Trace_bc] must produce counters bitwise identical to
-    the compiled trace engine in exact mode — on every benchmark family
-    in the repo, on the adversarial inline programs, and on random
-    programs. Also covered here: the one-innermost-trip budget contract
-    on all three engines of each backend, determinism across pool job
-    counts, the disassembler goldens (superinstruction formation on a
-    tiled/interchanged PolyBench nest), and the bytecode verifier's
-    rejection of malformed streams. *)
+    the tree-walking trace oracle [Trace.run] in exact mode — on every
+    benchmark family in the repo, on the adversarial inline programs of
+    [Test_trace.edge_cases], and on random programs. Also covered here:
+    the one-innermost-trip budget contract on every engine of each
+    backend, determinism across pool job counts, the disassembler goldens
+    (superinstruction formation on a tiled/interchanged PolyBench nest),
+    and the bytecode verifier's rejection of malformed streams. *)
 
 module Ir = Daisy_loopir.Ir
 module Expr = Daisy_poly.Expr
@@ -18,7 +18,6 @@ module Interp = Daisy_interp.Interp
 module B = Daisy_lir.Bytecode
 module Config = Daisy_machine.Config
 module Trace = Daisy_machine.Trace
-module Tc = Daisy_machine.Trace_compile
 module Tb = Daisy_machine.Trace_bc
 module Cost = Daisy_machine.Cost
 module Budget = Daisy_support.Budget
@@ -79,21 +78,21 @@ let check_same_error name (p : Ir.program) ~sizes () =
   | _, Error w -> Alcotest.failf "%s: bytecode engine %s" name w
 
 (* ------------------------------------------------------------------ *)
-(* Trace backend: bitwise counter comparison vs the compiled engine     *)
+(* Trace backend: bitwise counter comparison vs the tree oracle         *)
 
 let check_trace_at name (p : Ir.program) ~sizes ~sample_outer =
-  let compiled = Tc.run config p ~sizes ~sample_outer () in
+  let tree = Trace.run config p ~sizes ~sample_outer () in
   let bc = Tb.run config p ~sizes ~sample_outer () in
   Alcotest.(check int)
     (name ^ ": same nest count")
-    (List.length compiled) (List.length bc);
+    (List.length tree) (List.length bc);
   List.iteri
     (fun i (a, b) ->
-      if not (Tc.counters_equal a b) then
+      if not (Trace.counters_equal a b) then
         Alcotest.failf
-          "%s (sample=%d): nest %d differs@.compiled: %a@.bytecode: %a" name
+          "%s (sample=%d): nest %d differs@.tree:     %a@.bytecode: %a" name
           sample_outer i Test_trace.pp_counters a Test_trace.pp_counters b)
-    (List.combine compiled bc)
+    (List.combine tree bc)
 
 let check_trace name p ~sizes =
   check_trace_at name p ~sizes ~sample_outer:0;
@@ -171,120 +170,9 @@ let test_attributed_loops () =
 (* Adversarial inline programs                                          *)
 
 let test_non_affine_guards_negstep () =
-  let n = Expr.var "n" and i = Expr.var "i" and j = Expr.var "j" in
-  let sq_mod = Expr.md (Expr.mul i i) n in
-  let clamped = Expr.max_ (Expr.sub i (Expr.const 2)) Expr.zero in
-  let dest = { Ir.array = "A"; indices = [ sq_mod ] } in
-  let nonaffine =
-    {
-      Ir.pname = "nonaffine";
-      size_params = [ "n" ];
-      scalar_params = [];
-      arrays =
-        [ { Ir.name = "A"; elem = Ir.Fdouble; dims = [ n ]; storage = Ir.Sparam };
-          { Ir.name = "B"; elem = Ir.Fdouble; dims = [ n ]; storage = Ir.Sparam } ];
-      local_scalars = [];
-      body =
-        [ Ir.Nloop
-            (Ir.mk_loop ~iter:"i" ~lo:Expr.zero
-               ~hi:(Expr.sub n Expr.one)
-               [ Ir.Ncomp
-                   (Ir.mk_comp (Ir.Darray dest)
-                      (Ir.Vbin
-                         (Ir.Vadd, Ir.Vread dest,
-                          Ir.Vread { Ir.array = "B"; indices = [ clamped ] })))
-               ]) ];
-    }
-  in
-  check_program "non-affine subscripts" nonaffine ~sizes:[ ("n", 17) ];
-  let guarded =
-    {
-      Ir.pname = "guarded";
-      size_params = [ "n" ];
-      scalar_params = [];
-      arrays =
-        [ { Ir.name = "A"; elem = Ir.Fdouble; dims = [ n; n ];
-            storage = Ir.Sparam } ];
-      local_scalars = [ "acc" ];
-      body =
-        [ Ir.Ncomp (Ir.mk_comp (Ir.Dscalar "acc") (Ir.Vfloat 0.0));
-          Ir.Nloop
-            (Ir.mk_loop ~iter:"i" ~lo:Expr.zero
-               ~hi:(Expr.sub (Expr.min_ n (Expr.const 11)) Expr.one)
-               [ Ir.Nloop
-                   (Ir.mk_loop ~iter:"j" ~lo:Expr.zero
-                      ~hi:(Expr.sub n Expr.one)
-                      [ Ir.Ncomp
-                          (Ir.mk_comp
-                             ~guard:(Ir.Pcmp (Ir.Cle, Ir.Vint j, Ir.Vint i))
-                             (Ir.Dscalar "acc")
-                             (Ir.Vbin
-                                (Ir.Vadd, Ir.Vscalar "acc",
-                                 Ir.Vcall
-                                   ("sqrt",
-                                    [ Ir.Vread
-                                        { Ir.array = "A"; indices = [ i; j ] }
-                                    ]))))
-                      ])
-               ]) ];
-    }
-  in
-  check_program "guards + min bound + scalar dest" guarded ~sizes:[ ("n", 9) ];
-  let reverse =
-    {
-      Ir.pname = "reverse";
-      size_params = [ "n" ];
-      scalar_params = [];
-      arrays =
-        [ { Ir.name = "x"; elem = Ir.Fdouble; dims = [ n ]; storage = Ir.Sparam } ];
-      local_scalars = [];
-      body =
-        [ Ir.Nloop
-            (Ir.mk_loop ~iter:"i"
-               ~lo:(Expr.sub n (Expr.const 2))
-               ~hi:Expr.zero ~step:(-1)
-               [ Ir.Ncomp
-                   (Ir.mk_comp
-                      (Ir.Darray { Ir.array = "x"; indices = [ i ] })
-                      (Ir.Vbin
-                         (Ir.Vadd,
-                          Ir.Vread { Ir.array = "x"; indices = [ i ] },
-                          Ir.Vread
-                            { Ir.array = "x";
-                              indices = [ Expr.add i Expr.one ] })))
-               ]) ];
-    }
-  in
-  check_program "negative-step loop" reverse ~sizes:[ ("n", 12) ];
-  let zerotrip =
-    {
-      Ir.pname = "zerotrip";
-      size_params = [ "n" ];
-      scalar_params = [];
-      arrays =
-        [ { Ir.name = "x"; elem = Ir.Fdouble; dims = [ n ]; storage = Ir.Sparam } ];
-      local_scalars = [];
-      body =
-        [ Ir.Nloop
-            (Ir.mk_loop ~iter:"i" ~lo:Expr.zero ~hi:(Expr.const (-1))
-               [ Ir.Ncomp
-                   (Ir.mk_comp
-                      (Ir.Darray { Ir.array = "x"; indices = [ i ] })
-                      (Ir.Vfloat 1.0))
-               ]);
-          Ir.Nloop
-            (Ir.mk_loop ~iter:"i" ~lo:Expr.zero ~hi:(Expr.sub n Expr.one)
-               [ Ir.Ncomp
-                   (Ir.mk_comp
-                      (Ir.Darray { Ir.array = "x"; indices = [ i ] })
-                      (Ir.Vbin
-                         (Ir.Vadd,
-                          Ir.Vread { Ir.array = "x"; indices = [ i ] },
-                          Ir.Vfloat 1.0)))
-               ]) ];
-    }
-  in
-  check_program "zero-trip loop" zerotrip ~sizes:[ ("n", 6) ]
+  List.iter
+    (fun (name, p, sizes) -> check_program name p ~sizes)
+    Test_trace.edge_cases
 
 (* ------------------------------------------------------------------ *)
 (* Error-path parity                                                    *)
@@ -335,12 +223,12 @@ let test_error_parity () =
     { base with
       Ir.body = comp (Ir.Vcall ("sqrt", [ Ir.Vfloat 1.0; Ir.Vfloat 2.0 ])) }
     ~sizes:[ ("n", 4) ] ();
-  check_same_error "unknown array read"
+  let ghost_read =
     { base with
       Ir.body = comp (Ir.Vread { Ir.array = "Ghost"; indices = [ Expr.const 0 ] })
     }
-    ~sizes:[ ("n", 4) ] ();
-  check_same_error "unknown array write"
+  in
+  let ghost_write =
     { base with
       Ir.body =
         [ Ir.Ncomp
@@ -348,7 +236,20 @@ let test_error_parity () =
                (Ir.Darray { Ir.array = "Ghost"; indices = [ Expr.const 0 ] })
                (Ir.Vfloat 1.0)) ];
     }
-    ~sizes:[ ("n", 4) ] ()
+  in
+  (* unknown arrays are invalid IR: the runtime error paths are compared
+     with validation off (the tree oracle never validates), and with it on
+     the bytecode lowering must reject them up front *)
+  let with_validation = Test_trace.with_validation in
+  List.iter
+    (fun (name, p) ->
+      with_validation false (check_same_error name p ~sizes:[ ("n", 4) ]);
+      with_validation true (fun () ->
+          match Interp.run_bytecode_fresh p ~sizes:[ ("n", 4) ] () with
+          | (_ : Interp.state) ->
+              Alcotest.failf "%s: validation accepted an unknown array" name
+          | exception Daisy_support.Diag.Error _ -> ()))
+    [ ("unknown array read", ghost_read); ("unknown array write", ghost_write) ]
 
 (* ------------------------------------------------------------------ *)
 (* Budget contract: Exhausted within one innermost trip, all engines    *)
@@ -380,8 +281,6 @@ let test_budget_brackets () =
   let semantic =
     [ ("tree",
        fun b -> ignore (Interp.run_fresh ~budget:b p ~sizes ()));
-      ("closure",
-       fun b -> ignore (Interp.run_compiled_fresh ~budget:b p ~sizes ()));
       ("bytecode",
        fun b -> ignore (Interp.run_bytecode_fresh ~budget:b p ~sizes ())) ]
   in
@@ -402,8 +301,7 @@ let test_budget_brackets () =
       expect_ok ("trace:" ^ nm) (go total);
       expect_exhausted ("trace:" ^ nm) (total - 1) (go (total - 1));
       expect_exhausted ("trace:" ^ nm) (total - n) (go (total - n)))
-    [ ("tree", Cost.Tree); ("compiled", Cost.Compiled);
-      ("bytecode", Cost.Bytecode) ]
+    [ ("tree", Cost.Tree); ("bytecode", Cost.Bytecode) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across pool job counts                                   *)
@@ -421,18 +319,18 @@ let test_parallel_jobs () =
     Pool.with_pool ~jobs:4 (fun pool ->
         Pool.map ?pool (eval Cost.Bytecode) progs)
   in
-  let reference = List.map (eval Cost.Compiled) progs in
+  let reference = List.map (eval Cost.Tree) progs in
   let check what a b =
     List.iteri
       (fun i (xs, ys) ->
         if
           List.length xs <> List.length ys
-          || not (List.for_all2 Tc.counters_equal xs ys)
+          || not (List.for_all2 Trace.counters_equal xs ys)
         then Alcotest.failf "%s: benchmark %d counters differ" what i)
       (List.combine a b)
   in
   check "jobs 4 vs jobs 1" seq par;
-  check "bytecode vs compiled reference" seq reference
+  check "bytecode vs tree reference" seq reference
 
 (* ------------------------------------------------------------------ *)
 (* Disassembler goldens                                                 *)
@@ -604,14 +502,14 @@ let prop_bytecode_bitwise =
 
 let prop_trace_bitwise =
   QCheck.Test.make ~count:120
-    ~name:"bytecode trace bitwise-identical to compiled"
+    ~name:"bytecode trace bitwise-identical to counters of the tree walker"
     Test_property.arbitrary_program (fun p ->
       let sizes = [ ("n", 8) ] in
       let ok sample_outer =
-        let compiled = Tc.run config p ~sizes ~sample_outer () in
+        let tree = Trace.run config p ~sizes ~sample_outer () in
         let bc = Tb.run config p ~sizes ~sample_outer () in
-        List.length compiled = List.length bc
-        && List.for_all2 Tc.counters_equal compiled bc
+        List.length tree = List.length bc
+        && List.for_all2 Trace.counters_equal tree bc
       in
       ok 0 && ok 3)
 

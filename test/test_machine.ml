@@ -286,7 +286,11 @@ let test_line_granular_agrees_on_streams () =
      writebacks / loads / stores as per-element simulation on unit-stride
      streams — only raw L1 access (port probe) counts differ by design *)
   let module Trace = Daisy_machine.Trace in
-  let module Tc = Daisy_machine.Trace_compile in
+  let module Tb = Daisy_machine.Trace_bc in
+  (* line stepping alone: adaptive block sampling switched off *)
+  let line_step_only =
+    { Tb.default_approx with Tb.block = 1; tol = 0.0; min_trip = max_int }
+  in
   let p =
     lower
       {|void f(int n, double A[n], double B[n], double C[n]) {
@@ -297,7 +301,7 @@ let test_line_granular_agrees_on_streams () =
   in
   let sizes = [ ("n", 300) ] in
   let exact = Trace.run config p ~sizes () in
-  let line = Tc.run config p ~sizes ~approx:Tc.line_step_only () in
+  let line = Tb.run config p ~sizes ~approx:line_step_only () in
   List.iter2
     (fun (e : Trace.counters) (l : Trace.counters) ->
       let same name a b =

@@ -4,7 +4,6 @@ let () =
       ("support", Test_support.suite);
       ("pool", Test_pool.suite);
       ("interp", Test_interp.suite);
-      ("compile", Test_compile.suite);
       ("poly", Test_poly.suite);
       ("lang", Test_lang.suite);
       ("loopir", Test_loopir.suite);

@@ -70,23 +70,15 @@ let test_budget_interp_engines () =
      engines, a large one must not *)
   Alcotest.check_raises "tree exhausts" Budget.Exhausted (fun () ->
       ignore (Interp.run_fresh ~budget:(Budget.make ~steps:5) p ~sizes ()));
-  Alcotest.check_raises "compiled exhausts" Budget.Exhausted (fun () ->
-      ignore
-        (Interp.run_compiled_fresh ~budget:(Budget.make ~steps:5) p ~sizes ()));
   Alcotest.check_raises "bytecode exhausts" Budget.Exhausted (fun () ->
       ignore
         (Interp.run_bytecode_fresh ~budget:(Budget.make ~steps:5) p ~sizes ()));
   let s1 = Interp.run_fresh ~budget:(Budget.make ~steps:1_000) p ~sizes () in
   let s2 =
-    Interp.run_compiled_fresh ~budget:(Budget.make ~steps:1_000) p ~sizes ()
-  in
-  let s3 =
     Interp.run_bytecode_fresh ~budget:(Budget.make ~steps:1_000) p ~sizes ()
   in
-  Alcotest.(check (float 0.0)) "same result under budget" 0.0
-    (Interp.max_rel_diff p s1 s2);
   Alcotest.(check (float 0.0)) "same bytecode result under budget" 0.0
-    (Interp.max_rel_diff p s1 s3)
+    (Interp.max_rel_diff p s1 s2)
 
 (* The acceptance regression: an adversarially large iteration space
    (~10^10 walked iterations) must abort within its step budget on every
@@ -103,7 +95,8 @@ let test_budget_bounds_adversarial_evaluation () =
           ignore
             (Cost.evaluate_guarded Config.default p ~sizes ~engine
                ~steps:10_000 ())))
-    [ Cost.Tree; Cost.Compiled; Cost.Bytecode ]
+    [ Cost.Tree; Cost.Bytecode;
+      Cost.Approx Daisy_machine.Trace_bc.default_approx ]
 
 let test_budget_exhaustion_is_infinity_fitness () =
   let p = lower gemm_src in
@@ -119,28 +112,44 @@ let test_budget_exhaustion_is_infinity_fitness () =
 (* ------------------------------------------------------------------ *)
 (* Graceful engine degradation *)
 
+(** The approximate engine runs on the bytecode walk: a failing [bc_run]
+    drops it to the tree walker with exactly one fallback counted, while
+    [trace_fuse] never fires under approx (the batched replay is off). *)
 let test_trace_engine_fallback_same_result () =
   with_faults (fun () ->
       let p = lower gemm_src in
       let sizes = [ ("n", 24) ] in
+      let approx = Cost.Approx Daisy_machine.Trace_bc.default_approx in
       let reference =
         Cost.evaluate_guarded Config.default p ~sizes ~engine:Cost.Tree ()
       in
-      Cost.reset_engine_fallbacks ();
-      Fault.arm_always "trace_compile";
-      let guarded =
-        Cost.evaluate_guarded Config.default p ~sizes ~engine:Cost.Compiled ()
+      let unarmed =
+        Cost.evaluate_guarded Config.default p ~sizes ~engine:approx ()
       in
-      Alcotest.(check bool) "fell back at least once" true
-        (Cost.engine_fallbacks () >= 1);
-      Alcotest.(check (float 0.0)) "bitwise-identical milliseconds"
+      Cost.reset_engine_fallbacks ();
+      Fault.arm_always "bc_run";
+      let guarded =
+        Cost.evaluate_guarded Config.default p ~sizes ~engine:approx ()
+      in
+      Alcotest.(check int) "one fallback" 1 (Cost.engine_fallbacks ());
+      Alcotest.(check (float 0.0)) "tree-identical milliseconds"
         (Cost.milliseconds reference)
-        (Cost.milliseconds guarded))
+        (Cost.milliseconds guarded);
+      Fault.clear ();
+      Cost.reset_engine_fallbacks ();
+      Fault.arm_always "trace_fuse";
+      let fused_armed =
+        Cost.evaluate_guarded Config.default p ~sizes ~engine:approx ()
+      in
+      Alcotest.(check int) "trace_fuse never fires under approx" 0
+        (Cost.engine_fallbacks ());
+      Alcotest.(check (float 0.0)) "approx result unchanged"
+        (Cost.milliseconds unarmed)
+        (Cost.milliseconds fused_armed))
 
-(** The full degradation chain of the trace backend: a failing bytecode
-    engine steps down to the compiled engine; when that is also armed it
-    steps down again to the tree oracle — bit-identical report both
-    times. *)
+(** The degradation chain of the trace backend: any failing bytecode
+    stage (lowering, walk, batched replay) steps down to the tree oracle
+    with one fallback — bit-identical report every time. *)
 let test_bytecode_trace_fallback_chain () =
   with_faults (fun () ->
       let p = lower gemm_src in
@@ -157,20 +166,20 @@ let test_bytecode_trace_fallback_chain () =
             Cost.evaluate_guarded Config.default p ~sizes
               ~engine:Cost.Bytecode ()
           in
-          Alcotest.(check bool) (what ^ ": fell back enough") true
-            (Cost.engine_fallbacks () >= List.length labels);
+          Alcotest.(check int) (what ^ ": one fallback") 1
+            (Cost.engine_fallbacks ());
           Alcotest.(check (float 0.0)) (what ^ ": bitwise-identical result")
             (Cost.milliseconds reference)
             (Cost.milliseconds guarded))
-        [ ("bc_run -> compiled", [ "bc_run" ]);
-          ("bc_compile -> compiled", [ "bc_compile" ]);
-          ("trace_fuse -> compiled", [ "trace_fuse" ]);
-          ("bc_run + trace_compile -> tree", [ "bc_run"; "trace_compile" ]) ])
+        [ ("bc_run -> tree", [ "bc_run" ]);
+          ("bc_compile -> tree", [ "bc_compile" ]);
+          ("trace_fuse -> tree", [ "trace_fuse" ]);
+          ("bc_run + trace_fuse -> tree", [ "bc_run"; "trace_fuse" ]) ])
 
 let test_interp_fallback_preserves_equivalence () =
   with_faults (fun () ->
       let p = lower gemm_src in
-      (* default engine is bytecode: a bc_run crash degrades to closure *)
+      (* default engine is bytecode: a bc_run crash degrades to the tree *)
       Interp.reset_compiled_fallbacks ();
       Fault.arm_nth "bc_run" 1;
       Alcotest.(check bool) "equivalent despite engine crash" true
@@ -185,15 +194,15 @@ let test_interp_fallback_preserves_equivalence () =
         (Interp.equivalent p p ~sizes:[ ("n", 6) ] ());
       Alcotest.(check bool) "lowering fallback counted" true
         (Interp.compiled_fallbacks () >= 1);
-      (* both fast engines armed: the chain bottoms out on the tree oracle *)
+      (* bytecode armed on every run: both sides of the check run on the
+         tree oracle, one fallback each *)
       Fault.clear ();
       Interp.reset_compiled_fallbacks ();
       Fault.arm_always "bc_run";
-      Fault.arm_always "interp_compile";
       Alcotest.(check bool) "equivalent on the tree oracle" true
         (Interp.equivalent p p ~sizes:[ ("n", 6) ] ());
-      Alcotest.(check bool) "two fallbacks per run" true
-        (Interp.compiled_fallbacks () >= 2))
+      Alcotest.(check int) "one fallback per run" 2
+        (Interp.compiled_fallbacks ()))
 
 let test_budget_exhaustion_is_not_masked () =
   (* evaluate_guarded must let Exhausted escape, not silently retry on
@@ -203,7 +212,7 @@ let test_budget_exhaustion_is_not_masked () =
   Alcotest.check_raises "propagates" Budget.Exhausted (fun () ->
       ignore
         (Cost.evaluate_guarded Config.default p ~sizes:[ ("n", 64) ]
-           ~engine:Cost.Compiled ~steps:10 ()));
+           ~engine:Cost.Bytecode ~steps:10 ()));
   Alcotest.(check int) "no fallback recorded" 0 (Cost.engine_fallbacks ())
 
 (* ------------------------------------------------------------------ *)

@@ -1,17 +1,16 @@
-(** Differential tests of the compiled trace engine
-    ([Daisy_machine.Trace_compile]): in exact mode its counters must be
-    {e bitwise identical} to the tree-walking oracle [Trace.run] — every
-    float field compared through [Int64.bits_of_float], including the
-    cache statistics — on every benchmark family in the repo, with and
-    without outer-loop sampling, and on random programs. Approx mode
-    (line-granular stepping + adaptive loop sampling) must stay within
-    the documented relative-error bound of the exact engine. *)
+(** Tests of the bytecode trace engine's fast modes
+    ([Daisy_machine.Trace_bc]). The batched (fused) replay and the
+    simulation memo must keep every counter bit ([Int64.bits_of_float])
+    identical to the tree-walking oracle [Trace.run]. Approx mode (line
+    stepping + adaptive loop sampling) must stay within the documented
+    error bound of the exact engine, and golden tables pin its output
+    bit for bit. The plain exact walk is pinned to the oracle in
+    [test/test_bytecode.ml]; the shared inputs live here. *)
 
 module Ir = Daisy_loopir.Ir
 module Expr = Daisy_poly.Expr
 module Config = Daisy_machine.Config
 module Trace = Daisy_machine.Trace
-module Tc = Daisy_machine.Trace_compile
 module Cost = Daisy_machine.Cost
 module Pb = Daisy_benchmarks.Polybench
 module Np = Daisy_benchmarks.Npbench
@@ -20,9 +19,6 @@ module Cloudsc = Daisy_benchmarks.Cloudsc
 module Alower = Daisy_arraylang.Lower
 
 let config = Config.default
-
-(* ------------------------------------------------------------------ *)
-(* Bitwise counter comparison                                           *)
 
 let pp_counters ppf (c : Trace.counters) =
   Fmt.pf ppf
@@ -41,75 +37,6 @@ let pp_counters ppf (c : Trace.counters) =
     c.Trace.l2.Daisy_machine.Cache.misses
     c.Trace.l2.Daisy_machine.Cache.evicts
     c.Trace.l2.Daisy_machine.Cache.writebacks
-
-let check_identical name (p : Ir.program) ~sizes ~sample_outer =
-  let tree = Trace.run config p ~sizes ~sample_outer () in
-  let compiled = Tc.run config p ~sizes ~sample_outer () in
-  Alcotest.(check int)
-    (name ^ ": same nest count")
-    (List.length tree) (List.length compiled);
-  List.iteri
-    (fun i (a, b) ->
-      if not (Tc.counters_equal a b) then
-        Alcotest.failf "%s (sample=%d): nest %d differs@.tree:     %a@.compiled: %a"
-          name sample_outer i pp_counters a pp_counters b)
-    (List.combine tree compiled)
-
-(** Exercise both the exact path and the depth-0 sampling path. *)
-let check_both name p ~sizes =
-  check_identical name p ~sizes ~sample_outer:0;
-  check_identical name p ~sizes ~sample_outer:7
-
-(* ------------------------------------------------------------------ *)
-(* Benchmark sweeps                                                     *)
-
-let test_polybench_a () =
-  List.iter
-    (fun (b : Pb.benchmark) ->
-      check_both ("A:" ^ b.Pb.name) (Pb.program b) ~sizes:b.Pb.test_sizes)
-    (Pb.all @ Pb.extras)
-
-let test_polybench_b () =
-  List.iter
-    (fun (b : Pb.benchmark) ->
-      let v = Variants.generate ~seed:("bvariant-" ^ b.Pb.name) (Pb.program b) in
-      check_both ("B:" ^ b.Pb.name) v ~sizes:b.Pb.test_sizes)
-    Pb.all
-
-let test_npbench () =
-  List.iter
-    (fun (b : Np.benchmark) ->
-      List.iter
-        (fun (pname, policy) ->
-          let p = Alower.lower policy b.Np.program in
-          check_both
-            (Printf.sprintf "np:%s:%s" b.Np.name pname)
-            p ~sizes:b.Np.test_sizes)
-        [ ("frontend", Alower.frontend_policy); ("numpy", Alower.numpy_policy) ])
-    Np.all
-
-let test_cloudsc () =
-  let orig, sizes = Cloudsc.erosion_original ~iters:3 in
-  check_both "cloudsc:erosion-original" orig ~sizes;
-  let opt, sizes = Cloudsc.erosion_optimized ~iters:3 in
-  check_both "cloudsc:erosion-optimized" opt ~sizes;
-  let small_sizes = [ ("nblocks", 2); ("klev", 6); ("nproma", 8) ] in
-  List.iter
-    (fun v ->
-      let p, _ = Cloudsc.full_model v ~blocks:2 in
-      check_both ("cloudsc:" ^ Cloudsc.string_of_version v) p ~sizes:small_sizes)
-    Cloudsc.all_versions
-
-(* library-call replacement exercises the Ncall counter path *)
-let test_libcalls () =
-  let replaced = ref 0 in
-  List.iter
-    (fun (b : Pb.benchmark) ->
-      let p, n = Daisy_blas.Patterns.replace_all (Pb.program b) in
-      replaced := !replaced + n;
-      if n > 0 then check_both ("libcall:" ^ b.Pb.name) p ~sizes:b.Pb.test_sizes)
-    Pb.all;
-  Alcotest.(check bool) "library calls exercised" true (!replaced > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Loop attributes: parallel / atomic / vectorized / unrolled paths      *)
@@ -133,13 +60,6 @@ let mark_attrs (p : Ir.program) : Ir.program =
     | other -> other
   in
   { p with Ir.body = List.map (mark 0) p.Ir.body }
-
-let test_attributed_loops () =
-  List.iter
-    (fun (b : Pb.benchmark) ->
-      check_both ("attrs:" ^ b.Pb.name) (mark_attrs (Pb.program b))
-        ~sizes:b.Pb.test_sizes)
-    Pb.all
 
 (* ------------------------------------------------------------------ *)
 (* Non-affine subscripts, guards, min/max bounds, negative steps         *)
@@ -259,32 +179,65 @@ let zerotrip_program =
                ]) ];
   }
 
+(* min/max loop bounds (tiling-style), guards, Vselect, Vint, scalar
+   destinations, a scalar parameter and intrinsics in one program *)
+let minmax_program =
+  let m = Expr.var "m" in
+  let acc_dest = Ir.Dscalar "acc" in
+  {
+    Ir.pname = "kitchen";
+    size_params = [ "n"; "m" ];
+    scalar_params = [ "alpha" ];
+    arrays =
+      [ { Ir.name = "A"; elem = Ir.Fdouble; dims = [ n; m ];
+          storage = Ir.Sparam } ];
+    local_scalars = [ "acc" ];
+    body =
+      [ Ir.Ncomp (Ir.mk_comp acc_dest (Ir.Vfloat 0.0));
+        Ir.Nloop
+          (Ir.mk_loop ~iter:"i" ~lo:Expr.zero
+             ~hi:(Expr.sub (Expr.min_ n m) Expr.one)
+             [ Ir.Nloop
+                 (Ir.mk_loop ~iter:"j" ~lo:Expr.zero
+                    ~hi:(Expr.sub m Expr.one)
+                    [ Ir.Ncomp
+                        (Ir.mk_comp
+                           ~guard:(Ir.Pcmp (Ir.Cle, Ir.Vint j, Ir.Vint i))
+                           acc_dest
+                           (Ir.Vbin
+                              (Ir.Vadd, Ir.Vscalar "acc",
+                               Ir.Vselect
+                                 ( Ir.Pcmp
+                                     (Ir.Cgt,
+                                      Ir.Vread
+                                        { Ir.array = "A"; indices = [ i; j ] },
+                                      Ir.Vfloat 0.5),
+                                   Ir.Vcall
+                                     ("pow",
+                                      [ Ir.Vread
+                                          { Ir.array = "A";
+                                            indices = [ i; j ] };
+                                        Ir.Vfloat 2.0 ]),
+                                   Ir.Vneg (Ir.Vscalar "alpha") ))))
+                    ]);
+               Ir.Ncomp
+                 (Ir.mk_comp
+                    (Ir.Darray { Ir.array = "A"; indices = [ i; Expr.zero ] })
+                    (Ir.Vcall ("tanh", [ Ir.Vscalar "acc" ])))
+             ]) ];
+  }
+
+(** Adversarial inline programs: the exact engines' bitwise sweeps
+    ([test/test_bytecode.ml]) and the fused replay below run them all. *)
 let edge_cases =
   [
     ("non-affine subscripts", nonaffine_program, [ ("n", 17) ]);
     ("guards + min bound + scalar dest", guarded_program, [ ("n", 9) ]);
+    ("min/max bounds + guards + scalars", minmax_program,
+     [ ("n", 7); ("m", 9) ]);
     ("negative-step loop", reverse_program, [ ("n", 12) ]);
     ("zero-trip loop", zerotrip_program, [ ("n", 6) ]);
   ]
-
-let test_non_affine_guards_negstep () =
-  List.iter (fun (name, p, sizes) -> check_both name p ~sizes) edge_cases
-
-(* ------------------------------------------------------------------ *)
-(* Random programs                                                      *)
-
-let prop_trace_bitwise =
-  QCheck.Test.make ~count:120
-    ~name:"compiled trace bitwise-identical to walker"
-    Test_property.arbitrary_program (fun p ->
-      let sizes = [ ("n", 8) ] in
-      let ok sample_outer =
-        let tree = Trace.run config p ~sizes ~sample_outer () in
-        let compiled = Tc.run config p ~sizes ~sample_outer () in
-        List.length tree = List.length compiled
-        && List.for_all2 Tc.counters_equal tree compiled
-      in
-      ok 0 && ok 3)
 
 (* ------------------------------------------------------------------ *)
 (* Batched (fused) stream replay + simulation memo: bitwise contract    *)
@@ -293,6 +246,12 @@ module Tb = Daisy_machine.Trace_bc
 module Pool = Daisy_support.Pool
 
 let lower = Daisy_lang.Lower.program_of_string ~source:"test.c"
+
+(** Run [f] with IR validation ([DAISY_VALIDATE]) forced to [v]. *)
+let with_validation v f =
+  let saved = !Ir.validation_enabled in
+  Ir.validation_enabled := v;
+  Fun.protect ~finally:(fun () -> Ir.validation_enabled := saved) f
 
 (** The fused bytecode paths must be {e bitwise identical} to the tree
     oracle: the unfused walk, the batched walk, and — run twice against
@@ -304,7 +263,7 @@ let check_batched name (p : Ir.program) ~sizes =
       let cmp what got =
         if
           List.length tree <> List.length got
-          || not (List.for_all2 Tc.counters_equal tree got)
+          || not (List.for_all2 Trace.counters_equal tree got)
         then
           Alcotest.failf "%s (sample=%d): %s differs from tree oracle" name
             sample_outer what
@@ -372,8 +331,8 @@ let prop_batched_bitwise =
         let fused = Tb.run config p ~sizes ~sample_outer ~batch:true () in
         let plain = Tb.run config p ~sizes ~sample_outer ~batch:false () in
         List.length tree = List.length fused
-        && List.for_all2 Tc.counters_equal tree fused
-        && List.for_all2 Tc.counters_equal tree plain
+        && List.for_all2 Trace.counters_equal tree fused
+        && List.for_all2 Trace.counters_equal tree plain
       in
       ok 0 && ok 3)
 
@@ -397,12 +356,148 @@ let test_batched_parallel_memo () =
     (fun i (xs, ys) ->
       if
         List.length xs <> List.length ys
-        || not (List.for_all2 Tc.counters_equal xs ys)
+        || not (List.for_all2 Trace.counters_equal xs ys)
       then Alcotest.failf "jobs 4 + shared memo: benchmark %d differs" i)
     (List.combine seq par)
 
 (* ------------------------------------------------------------------ *)
-(* Approx mode: documented accuracy contract                            *)
+(* Approx mode: golden cycles and the documented accuracy contract       *)
+
+let approx = Cost.Approx Tb.default_approx
+
+let cycles engine p ~sizes ~sample_outer =
+  (Cost.evaluate config p ~sizes ~threads:1 ~sample_outer ~engine ())
+    .Cost.total_cycles
+
+let polybench_sim () =
+  List.map
+    (fun (b : Pb.benchmark) ->
+      ("pb:" ^ b.Pb.name, Pb.program b, b.Pb.sim_sizes))
+    (Pb.all @ Pb.extras)
+
+let npbench_sim () =
+  List.map
+    (fun (b : Np.benchmark) ->
+      ( "np:" ^ b.Np.name,
+        Alower.lower Alower.frontend_policy b.Np.program,
+        b.Np.sim_sizes ))
+    Np.all
+
+let erosion () =
+  let orig, sizes = Cloudsc.erosion_original ~iters:8 in
+  ("cloudsc:erosion", orig, sizes)
+
+let gemm = lazy (List.find (fun b -> b.Pb.name = "gemm") Pb.all)
+
+(** Approx total cycles at [sample_outer] 12 of every program the approx
+    tests below evaluate, as produced by the closure-tree approx engine
+    that preceded the bytecode port. The port reproduces them bit for
+    bit; any change to approx semantics must re-derive this table. *)
+let approx_golden =
+  [
+    ("pb:gemm", 0x1.3a9d04p+22);
+    ("pb:2mm", 0x1.67619p+22);
+    ("pb:3mm", 0x1.5328a4p+23);
+    ("pb:syrk", 0x1.ddfa8p+17);
+    ("pb:syr2k", 0x1.6602p+18);
+    ("pb:gemver", 0x1.bba4eaaaaaaaap+18);
+    ("pb:gesummv", 0x1.9ba5p+16);
+    ("pb:atax", 0x1.e5ae955555555p+17);
+    ("pb:bicg", 0x1.e5ac8p+17);
+    ("pb:mvt", 0x1.03c4p+18);
+    ("pb:jacobi-2d", 0x1.77p+22);
+    ("pb:heat-3d", 0x1.78c6bp+24);
+    ("pb:fdtd-2d", 0x1.3d738p+22);
+    ("pb:correlation", 0x1.aafb0cp+23);
+    ("pb:covariance", 0x1.ab3122p+23);
+    ("pb:doitgen", 0x1.707p+19);
+    ("pb:trisolv", 0x1.a5ep+11);
+    ("pb:seidel-2d", 0x1.7764p+22);
+    ("np:gemm", 0x1.3baf1aaaaaaabp+22);
+    ("np:2mm", 0x1.683cd55555556p+22);
+    ("np:3mm", 0x1.40a776aaaaaabp+23);
+    ("np:syrk", 0x1.ddfa8p+17);
+    ("np:syr2k", 0x1.6602p+18);
+    ("np:gemver", 0x1.1b4e0aaaaaaaap+19);
+    ("np:gesummv", 0x1.9bdbp+16);
+    ("np:atax", 0x1.e645555555556p+17);
+    ("np:bicg", 0x1.e6bbd55555556p+17);
+    ("np:mvt", 0x1.ea65aaaaaaaabp+17);
+    ("np:jacobi-2d", 0x1.77p+22);
+    ("np:heat-3d", 0x1.78c6bp+24);
+    ("np:fdtd-2d", 0x1.3d738p+22);
+    ("np:correlation", 0x1.b605cdp+22);
+    ("np:covariance", 0x1.b46756p+22);
+    ("cloudsc:erosion", 0x1.5b33333333333p+16);
+    ("gemm:attrs", 0x1.ee64699555555p+24);
+  ]
+
+let test_approx_golden () =
+  let g = Lazy.force gemm in
+  let progs =
+    polybench_sim () @ npbench_sim () @ [ erosion () ]
+    @ [ ("gemm:attrs", mark_attrs (Pb.program g), g.Pb.sim_sizes) ]
+  in
+  Alcotest.(check int) "one golden row per program" (List.length approx_golden)
+    (List.length progs);
+  List.iter
+    (fun (name, p, sizes) ->
+      let want = List.assoc name approx_golden in
+      let got = cycles approx p ~sizes ~sample_outer:12 in
+      if Int64.bits_of_float got <> Int64.bits_of_float want then
+        Alcotest.failf "%s: approx cycles %h, golden %h" name got want)
+    progs
+
+(* One computation placed three times in one trace section (repeated ids
+   are invalid IR, so the test runs with validation off): the trace
+   engines share its addresses by cid, but approx line-step eligibility
+   and the last-line memo belong to each occurrence. At n = 12 (trips
+   below [min_trip]: line stepping alone) the second occurrence's
+   innermost loop does not move its address, so it touches the cache
+   every iteration, and the first and third each start on the line the
+   other ended on, so only per-occurrence memos touch it. The golden
+   counters come from the closure-tree approx engine. *)
+let repeated_cid_program =
+  let p =
+    lower
+      {|void rep(int n, double A[n][n]) {
+          for (int r = 0; r < 2; r++) {
+            for (int i = 0; i < n; i++)
+              for (int j = 0; j < n; j++)
+                A[i][j] = A[i][j] + 1.0;
+            for (int i = 0; i < n; i++)
+              for (int j = 0; j < n; j++)
+                for (int k = 0; k < 4; k++)
+                  A[i][j] = A[i][j] + 1.0;
+            for (int i = n - 1; i >= 0; i--)
+              for (int j = n - 1; j >= 0; j--)
+                A[i][j] = A[i][j] + 1.0;
+          }
+        }|}
+  in
+  let same_cid = function
+    | Ir.Ncomp c -> Ir.Ncomp { c with Ir.cid = 1 }
+    | n -> n
+  in
+  { p with
+    Ir.body =
+      Ir.map_loops (fun l -> { l with Ir.body = List.map same_cid l.Ir.body })
+        p.Ir.body }
+
+let repeated_cid_golden =
+  "flops=0x1.bp+10 vec=0x0p+0 unr=0x0p+0 loads=0x1.bp+10 stores=0x1.bp+10 \
+   gather=0x0p+0 spill=0x0p+0 atomics=0x0p+0 atomics_p=0x0p+0 regions=0x0p+0 \
+   par_trip=0x0p+0 has_par=false lib_f=0x0p+0 lib_b=0x0p+0 \
+   l1=(0x1.32p+11 0x1.2p+4 0x0p+0 0x0p+0) l2=(0x1.2p+4 0x1.2p+4 0x0p+0 0x0p+0)"
+
+let test_approx_repeated_cid () =
+  with_validation false (fun () ->
+      let got =
+        Tb.run config repeated_cid_program ~sizes:[ ("n", 12) ]
+          ~approx:Tb.default_approx ()
+      in
+      Alcotest.(check (list string)) "approx counters" [ repeated_cid_golden ]
+        (List.map (Fmt.str "%a" pp_counters) got))
 
 (** Relative error of approx-mode total cycles vs the exact engine at the
     same [sample_outer] — the bound documented in docs/performance.md. *)
@@ -412,69 +507,45 @@ let rel_err exact approx =
   if exact = 0.0 then Float.abs approx
   else Float.abs (approx -. exact) /. Float.abs exact
 
-let cycles engine p ~sizes ~sample_outer =
-  (Cost.evaluate config p ~sizes ~threads:1 ~sample_outer ~engine ())
-    .Cost.total_cycles
-
-let check_approx name p ~sizes =
-  let exact = cycles Cost.Compiled p ~sizes ~sample_outer:12 in
-  let approx =
-    cycles (Cost.Approx Tc.default_approx) p ~sizes ~sample_outer:12
-  in
+let check_approx (name, p, sizes) =
+  let exact = cycles Cost.Bytecode p ~sizes ~sample_outer:12 in
+  let approx = cycles approx p ~sizes ~sample_outer:12 in
   let err = rel_err exact approx in
   if err > approx_bound then
     Alcotest.failf "%s: approx error %.1f%% exceeds %.0f%% (exact %.4e approx %.4e)"
       name (100.0 *. err) (100.0 *. approx_bound) exact approx
 
-let test_approx_polybench () =
-  List.iter
-    (fun (b : Pb.benchmark) ->
-      check_approx ("approx:" ^ b.Pb.name) (Pb.program b) ~sizes:b.Pb.sim_sizes)
-    (Pb.all @ Pb.extras)
+let test_approx_polybench () = List.iter check_approx (polybench_sim ())
 
 let test_approx_npbench_cloudsc () =
-  List.iter
-    (fun (b : Np.benchmark) ->
-      let p = Alower.lower Alower.frontend_policy b.Np.program in
-      check_approx ("approx:np:" ^ b.Np.name) p ~sizes:b.Np.sim_sizes)
-    Np.all;
-  let orig, sizes = Cloudsc.erosion_original ~iters:8 in
-  check_approx "approx:cloudsc:erosion" orig ~sizes
+  List.iter check_approx (npbench_sim () @ [ erosion () ])
 
 (* approx mode must also preserve scheduler *decisions* enough that it
    never diverges wildly: ordering of a clearly-better vs clearly-worse
    variant is preserved on gemm (ijk loop order vs the same nest marked
    vectorized) *)
 let test_approx_ordering () =
-  let gemm = List.find (fun b -> b.Pb.name = "gemm") Pb.all in
-  let p = Pb.program gemm in
+  let g = Lazy.force gemm in
+  let p = Pb.program g in
   let better = mark_attrs p in
-  let sizes = gemm.Pb.sim_sizes in
-  let e_p = cycles Cost.Compiled p ~sizes ~sample_outer:12 in
-  let e_b = cycles Cost.Compiled better ~sizes ~sample_outer:12 in
-  let a_p = cycles (Cost.Approx Tc.default_approx) p ~sizes ~sample_outer:12 in
-  let a_b =
-    cycles (Cost.Approx Tc.default_approx) better ~sizes ~sample_outer:12
-  in
+  let sizes = g.Pb.sim_sizes in
+  let e_p = cycles Cost.Bytecode p ~sizes ~sample_outer:12 in
+  let e_b = cycles Cost.Bytecode better ~sizes ~sample_outer:12 in
+  let a_p = cycles approx p ~sizes ~sample_outer:12 in
+  let a_b = cycles approx better ~sizes ~sample_outer:12 in
   Alcotest.(check bool)
     "exact and approx agree on which variant is faster" true
     (e_p > e_b = (a_p > a_b))
 
 let suite =
   [
-    ("polybench A bitwise", `Slow, test_polybench_a);
-    ("polybench B bitwise", `Slow, test_polybench_b);
-    ("npbench bitwise", `Slow, test_npbench);
-    ("cloudsc bitwise", `Slow, test_cloudsc);
-    ("library calls bitwise", `Quick, test_libcalls);
-    ("attributed loops bitwise", `Slow, test_attributed_loops);
-    ("non-affine/guard/negative-step/zero-trip", `Quick,
-     test_non_affine_guards_negstep);
-    QCheck_alcotest.to_alcotest prop_trace_bitwise;
     ("fused replay: polybench A/B bitwise", `Slow, test_batched_polybench);
     ("fused replay: edge cases bitwise", `Quick, test_batched_edge_cases);
     QCheck_alcotest.to_alcotest prop_batched_bitwise;
     ("fused replay: shared memo across jobs", `Slow, test_batched_parallel_memo);
+    ("approx golden cycles bit for bit", `Slow, test_approx_golden);
+    ("approx state per occurrence of a repeated cid", `Quick,
+     test_approx_repeated_cid);
     ("approx error bound: polybench", `Slow, test_approx_polybench);
     ("approx error bound: npbench+cloudsc", `Slow, test_approx_npbench_cloudsc);
     ("approx preserves ordering", `Slow, test_approx_ordering);
