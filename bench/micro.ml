@@ -733,7 +733,8 @@ let write_shard_json ~path (rows : shard_row list) =
     appended batch rewrites (and re-indexes) only the affected shards,
     against a full re-index of the whole database. Acceptance
     (docs/performance.md): at 10^5 entries the incremental fold is
-    >= 5x faster than the full re-index. Written to BENCH_shard.json. *)
+    >= 5x faster than the full re-index, and the sharded query beats
+    the monolithic scan at every size. Written to BENCH_shard.json. *)
 let shard_bench ?(smoke = false) () =
   let k = 5 in
   let reps = if smoke then 1 else 3 in
@@ -841,6 +842,14 @@ let shard_bench ?(smoke = false) () =
         (r.full_reindex_s /. r.compact_s)
         r.zagree
   | None -> ());
+  Format.printf "  acceptance: sharded query vs scan:%s; sharded beats scan %b@."
+    (String.concat ","
+       (List.map
+          (fun r ->
+            Printf.sprintf " %d %.3e s vs %.3e s (%.1fx)" r.zn r.shard_q_s
+              r.mono_q_s (r.mono_q_s /. r.shard_q_s))
+          rows))
+    (List.for_all (fun r -> r.shard_q_s < r.mono_q_s) rows);
   write_shard_json ~path:"BENCH_shard.json" rows;
   Format.printf "  [wrote BENCH_shard.json]@."
 

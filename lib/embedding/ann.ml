@@ -4,8 +4,9 @@
     size, disqualifying at the million-entry recipe databases the serving
     roadmap targets. This module provides two index structures with one
     non-negotiable contract: a query returns {e exactly} the same top-k
-    (distances and order) as the linear scan, for every database and
-    every query.
+    (distances and order) as the linear scan, for every database of
+    finite vectors (box bounds only bound finite distances: {!build}
+    refuses others, a page carrying one is corrupt) and every query.
 
     - a bucket {b k-d tree} (the low-dimensional exact workhorse):
       leaves hold up to {!page_cap} entries, internal nodes carry the
@@ -320,7 +321,10 @@ let build ?algo ~fingerprint ~dim (vectors : float array array) : t =
       if Array.length v <> dim then
         invalid_arg
           (Printf.sprintf "Ann.build: vector %d has %d coordinates, not %d" i
-             (Array.length v) dim))
+             (Array.length v) dim);
+      if not (Array.for_all Float.is_finite v) then
+        invalid_arg
+          (Printf.sprintf "Ann.build: vector %d has a non-finite coordinate" i))
     vectors;
   let n = Array.length vectors in
   let algo = match algo with Some a -> a | None -> auto_algo ~n ~dim in
@@ -353,7 +357,8 @@ let parse_entry_line ~dim (line : string) : entry option =
       | None -> None
       | Some eidx ->
           let vals = List.filter_map float_of_string_opt floats in
-          if List.length vals <> dim then None
+          if List.length vals <> dim || not (List.for_all Float.is_finite vals)
+          then None
           else Some { eidx; vec = Array.of_list vals })
   | _ -> None
 

@@ -7,7 +7,9 @@
     same top-k (distances and order) as [Embedding.nearest_by] run over
     the indexed vectors, for every database and every query. Ties
     resolve by {!Embedding.compare_key} and then by entry index, which
-    coincides with the scan's arrival order.
+    coincides with the scan's arrival order. Coordinates are finite:
+    {!build} refuses anything else, and a page carrying a non-finite
+    coordinate is {!Corrupt}.
 
     Indexes persist in a versioned [DAISYANN 1] file (FNV-1a-64
     checksums, atomic writes, content fingerprint for staleness) with a
@@ -39,7 +41,13 @@ val build :
     database contents the index was built from; {!load} refuses an index
     whose stored fingerprint differs. Deterministic: the same vectors
     produce a bit-identical index (and index file). Raises
-    [Invalid_argument] if any vector's length differs from [dim]. *)
+    [Invalid_argument] if any vector's length differs from [dim] or any
+    coordinate is not finite. *)
+
+val box_lb : float array -> float array -> float array -> float
+(** [box_lb q lo hi] — Euclidean distance from [q] to the axis-aligned
+    box [[lo, hi]]: a lower bound on [Embedding.distance q v] for every
+    [v] inside the box, when all coordinates are finite. *)
 
 val query : t -> k:int -> float array -> (float * int) list
 (** [query t ~k q] — the [k] entries nearest to [q] as

@@ -32,17 +32,31 @@ type backend = {
   b_fingerprint : unit -> string;
 }
 
+(* Facts derived from [entries], computed on first use. Racing domains
+   may both compute one; they store the same value. *)
+type memo = {
+  mutable fp : string option;  (* content fingerprint *)
+  mutable bounds : (float array * float array) option;
+      (* bounding box of the embeddings *)
+}
+
 type t = {
   mutable entries : entry list;
   mutable index : (Ann.t * entry array) option;
       (* ANN index over [entries] plus the entry snapshot its indices
          refer to; any mutation of [entries] detaches it *)
+  mutable memo : memo;  (* any mutation of [entries] clears it *)
   backend : backend option;
 }
 
-let create () = { entries = []; index = None; backend = None }
-let of_entries entries = { entries; index = None; backend = None }
-let of_backend b = { entries = []; index = None; backend = Some b }
+let no_memo () = { fp = None; bounds = None }
+
+let make ?backend entries =
+  { entries; index = None; memo = no_memo (); backend }
+
+let create () = make []
+let of_entries entries = make entries
+let of_backend b = make ~backend:b []
 let is_backed db = db.backend <> None
 
 let size db =
@@ -91,7 +105,8 @@ let add_entry db (e : entry) =
   (match replace_dup (dedup_key e) e db.entries with
   | Some entries -> db.entries <- entries
   | None -> db.entries <- e :: db.entries);
-  db.index <- None
+  db.index <- None;
+  db.memo <- no_memo ()
 
 let add ?(cost_ms = nan) db ~source ~(nest : Ir.loop) ~(recipe : Recipe.t) =
   add_entry db
@@ -116,7 +131,8 @@ let entries db =
 let merge ~into src =
   read_only into "merge";
   List.iter (add_entry into) (List.rev (entries src));
-  into.index <- None
+  into.index <- None;
+  into.memo <- no_memo ()
 
 (** Entries whose normalized structure is identical to [nest] — exact
     transfer hits. *)
@@ -245,6 +261,8 @@ let parse_body (body : string list) : (entry, string) result =
         let floats = List.filter_map float_of_string_opt toks in
         if List.length floats <> List.length toks then
           Error "malformed embedding value"
+        else if not (List.for_all Float.is_finite floats) then
+          Error "non-finite embedding value"
         else if List.length floats <> Embedding.dim then
           Error
             (Printf.sprintf "embedding has %d values, expected %d"
@@ -345,8 +363,7 @@ let load (path : string) : t * string list =
             i := !j + 1
           end
   done;
-  ({ entries = List.rev !entries; index = None; backend = None },
-   List.rev !warnings)
+  (make (List.rev !entries), List.rev !warnings)
 
 (* ------------------------------------------------------------------ *)
 (* Sub-linear queries: an optional ANN index over the entries.
@@ -362,12 +379,36 @@ let load (path : string) : t * string list =
 (** Fingerprint of the database contents: the checksum of every entry's
     serialized body, in order. [save]/[load] round-trip entries exactly
     ([%h] floats), so the fingerprint survives persistence — an index
-    built before a save still attaches after the reload. *)
+    built before a save still attaches after the reload. Memoized:
+    loading a segment and attaching its index pay for one pass. *)
 let fingerprint (db : t) : string =
-  match db.backend with
-  | Some b -> b.b_fingerprint ()
-  | None ->
-      checksum (String.concat "\n" (List.concat_map entry_body db.entries))
+  let m = db.memo in
+  match (db.backend, m.fp) with
+  | Some b, _ -> b.b_fingerprint ()
+  | None, Some fp -> fp
+  | None, None ->
+      let fp =
+        checksum (String.concat "\n" (List.concat_map entry_body db.entries))
+      in
+      m.fp <- Some fp;
+      fp
+
+(** The embeddings' bounding box, memoized like {!fingerprint}. *)
+let bounds (db : t) : (float array * float array) option =
+  if is_backed db then invalid_arg "Database.bounds: backed database";
+  let m = db.memo in
+  match (m.bounds, db.entries) with
+  | Some box, _ -> Some box
+  | None, [] -> None
+  | None, e0 :: _ ->
+      let lo = Array.copy e0.embedding and hi = Array.copy e0.embedding in
+      let widen e =
+        Array.iteri (fun i x -> lo.(i) <- Float.min lo.(i) x) e.embedding;
+        Array.iteri (fun i x -> hi.(i) <- Float.max hi.(i) x) e.embedding
+      in
+      List.iter widen db.entries;
+      m.bounds <- Some (lo, hi);
+      Some (lo, hi)
 
 let index_fallback_count = Atomic.make 0
 

@@ -84,7 +84,13 @@ val query_embedding : t -> k:int -> Daisy_embedding.Embedding.t -> (float * entr
 val fingerprint : t -> string
 (** FNV-1a-64 fingerprint of the database contents (every entry's
     serialized body, in order) — the staleness rule for persisted ANN
-    indexes. Survives a {!save}/{!load} round-trip. *)
+    indexes. Survives a {!save}/{!load} round-trip. Computed once and
+    kept until the next {!add}/{!merge}. *)
+
+val bounds : t -> (float array * float array) option
+(** The bounding box [(lo, hi)] of the entries' embeddings, [None] when
+    empty; memoized like {!fingerprint} (shared arrays: do not mutate).
+    Raises [Invalid_argument] on a backed handle. *)
 
 val build_index : ?algo:Daisy_embedding.Ann.algo -> t -> unit
 (** Build and attach an in-memory ANN index over the current entries.
@@ -135,7 +141,8 @@ val entry_to_lines : entry -> string list
 val entry_of_lines : string list -> (entry, string) result
 (** Parse the body lines produced by {!entry_to_lines} (no checksum
     framing). Also accepts the legacy 4-line body (no cost column);
-    such entries parse with an unknown ([nan]) cost. *)
+    such entries parse with an unknown ([nan]) cost. A non-finite
+    embedding coordinate is an [Error "non-finite embedding value"]. *)
 
 val entry_lines : int
 (** Body lines per entry as {!entry_to_lines} writes them (currently
@@ -154,7 +161,8 @@ val save : t -> string -> unit
 
 val load : string -> t * string list
 (** [load path] — read a database written by {!save}. Corrupt entries
-    (bad checksum, malformed field, truncated block) are skipped
+    (bad checksum, malformed field, non-finite embedding coordinate,
+    truncated block) are skipped
     individually, each contributing a warning string; the surviving
     entries load in file order. Raises [Daisy_support.Diag.Error] only
     for whole-file problems: unreadable file, bad magic, or unsupported

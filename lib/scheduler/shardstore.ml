@@ -709,11 +709,19 @@ let write_segment t ~fault ~gen (sid : int) (db : Database.t) :
   in
   (file, fp, ann_file, Database.size db)
 
+(* Box bounds prune shards only over finite embeddings, and an entry
+   must not reach the WAL or a segment it could not be read back from. *)
+let check_finite op (es : Database.entry list) : unit =
+  let finite (e : Database.entry) = Array.for_all Float.is_finite e.embedding in
+  if not (List.for_all finite es) then
+    invalid_arg ("Shardstore." ^ op ^ ": non-finite embedding coordinate")
+
 let create ?(shard_cap = default_shard_cap) ?(overwrite = false)
     (dirname : string) (db : Database.t) : t =
   if (not overwrite) && is_store_dir dirname then
     Diag.errorf "shardstore %s: already a store (pass overwrite to replace)"
       dirname;
+  check_finite "create" (Database.entries db);
   if not (Sys.file_exists dirname) then Unix.mkdir dirname 0o755;
   let chron = Array.of_list (List.rev (Database.entries db)) in
   let next_id = ref 0 in
@@ -782,6 +790,7 @@ let reload_in_place t : unit =
 (* Append *)
 
 let append t (es : Database.entry list) : unit =
+  check_finite "append" es;
   if es = [] then ()
   else
     with_lock t (fun () ->
@@ -1136,25 +1145,34 @@ let size t : int =
 let entries t : Database.entry list =
   List.concat_map Database.entries (snapshot_views t)
 
-(* Exact cross-shard top-k: each shard's view answers its own top-k
-   (ANN-accelerated when the shard has no pending entries, scan
-   otherwise), and the union re-ranks under [Embedding.nearest_by] —
-   the same ranking key as the monolithic scan. Routing sends bit-equal
-   embeddings to one shard, so cross-shard ties beyond [compare_key]
-   cannot occur, and within a shard the view preserves arrival order:
-   the merged top-k is bit-identical to the monolithic scan. *)
+(* Exact cross-shard top-k, best-bin-first: non-empty views in order of
+   [Ann.box_lb] to their box (committed + pending entries), each giving
+   its top-k (by ANN when nothing is pending), merged under
+   [Embedding.nearest_by]. The walk stops at the first bound strictly
+   past the k-th best distance: with finite coordinates every later
+   entry is strictly farther, while an equal one could still win the
+   embedding tie-break. Routing keeps bit-equal embeddings in one shard
+   and each view keeps arrival order: bit-identical to the scan. *)
 let query_embedding t ~k (q : Embedding.t) : (float * Database.entry) list =
+  let embed (e : Database.entry) = e.embedding in
+  let pruned top lb =
+    List.compare_length_with top k >= 0 && lb > fst (List.nth top (k - 1))
+  in
+  let rec visit top = function
+    | (lb, v) :: rest when not (pruned top lb) ->
+        let found = List.map snd (Database.query_embedding v ~k q) in
+        visit (Embedding.nearest_by ~embed k (List.map snd top @ found) q) rest
+    | _ -> top
+  in
   if k <= 0 then []
   else
-    let views = snapshot_views t in
-    let union =
-      List.concat_map
-        (fun v -> List.map snd (Database.query_embedding v ~k q))
-        views
-    in
-    Embedding.nearest_by
-      ~embed:(fun (e : Database.entry) -> e.embedding)
-      k union q
+    snapshot_views t
+    |> List.filter_map (fun v ->
+           Option.map
+             (fun (lo, hi) -> (Ann.box_lb q lo hi, v))
+             (Database.bounds v))
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+    |> visit []
 
 let exact_matches_hash t (h : int) : Database.entry list =
   List.concat_map

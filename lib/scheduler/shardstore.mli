@@ -46,7 +46,8 @@ val create : ?shard_cap:int -> ?overwrite:bool -> string -> Database.t -> t
 (** [create dir db] — partition [db]'s entries into a fresh store at
     [dir] (created if missing): per-shard segments + ANN sidecars, a
     manifest, an empty WAL. Refuses to replace an existing store unless
-    [overwrite]. *)
+    [overwrite]; raises [Invalid_argument] if an embedding has a
+    non-finite coordinate. *)
 
 val open_ : ?shard_cap:int -> string -> t
 (** Open an existing store: verify and parse the manifest, load every
@@ -62,7 +63,9 @@ val append : t -> Database.entry list -> unit
     before return), routed to their shards' pending sets. Committed
     segments are not touched. The ["shard_wal"] fault point fires
     mid-record; a crash there leaves every earlier record durable and
-    the torn record dropped on replay. *)
+    the torn record dropped on replay. Raises [Invalid_argument],
+    before writing anything, if an embedding has a non-finite
+    coordinate. *)
 
 val compact : ?now:float -> t -> int
 (** Fold pending WAL entries into their shards — {e only} the affected
@@ -110,10 +113,13 @@ val entries : t -> Database.entry list
 
 val query_embedding :
   t -> k:int -> Daisy_embedding.Embedding.t -> (float * Database.entry) list
-(** Exact top-k across shards: per-shard top-k (ANN-accelerated when
-    the shard has no pending entries) re-ranked under
-    [Embedding.nearest_by] — bit-identical (distances and order) to the
-    monolithic scan of {!entries}. *)
+(** Exact top-k across shards, best-bin-first: shards in increasing
+    order of {!Daisy_embedding.Ann.box_lb} to their bounding box
+    (committed + pending entries), stopping at the first bound strictly
+    greater than the current k-th best distance. Each visited shard
+    answers its own top-k (ANN-accelerated when nothing is pending),
+    re-ranked under [Embedding.nearest_by] — bit-identical (distances
+    and order) to the monolithic scan of {!entries}. *)
 
 val exact_matches_hash : t -> int -> Database.entry list
 

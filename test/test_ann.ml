@@ -27,10 +27,16 @@ let gemm_src =
 let with_faults f =
   Fun.protect ~finally:Fault.clear (fun () -> Fault.clear (); f ())
 
-let contains_sub ~sub s =
+let find_sub ~sub s =
   let ls = String.length s and lsub = String.length sub in
-  let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
+  let rec go i =
+    if i + lsub > ls then None
+    else if String.sub s i lsub = sub then Some i
+    else go (i + 1)
+  in
   go 0
+
+let contains_sub ~sub s = Option.is_some (find_sub ~sub s)
 
 (* Exact comparison: same distances (float equality), same entry order. *)
 let result = Alcotest.(list (pair (float 0.0) int))
@@ -309,6 +315,40 @@ let test_database_query_nest () =
   S.Database.add db ~source:"gemm2" ~nest ~recipe:[];
   Alcotest.(check bool) "detached on add" false (S.Database.has_index db)
 
+(* The fingerprint and bounds memos are cleared by the same mutations
+   that detach the index: after each, they equal a fresh handle's. *)
+let test_database_memo () =
+  let p = lower gemm_src in
+  let nest =
+    match p.Ir.body with [ Ir.Nloop l ] -> l | _ -> Alcotest.fail "nest"
+  in
+  let rng = Rng.of_string "ann-db-memo" in
+  let db = S.Database.of_entries (List.init 20 (mk_entry rng)) in
+  let path = Filename.temp_file "daisyann" ".ann" in
+  let box = Alcotest.(option (pair (array (float 0.0)) (array (float 0.0)))) in
+  let check what =
+    let fresh = S.Database.of_entries (S.Database.entries db) in
+    Alcotest.(check string)
+      (what ^ ": fingerprint") (S.Database.fingerprint fresh)
+      (S.Database.fingerprint db);
+    Alcotest.check box (what ^ ": bounds") (S.Database.bounds fresh)
+      (S.Database.bounds db)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Alcotest.check box "empty" None (S.Database.bounds (S.Database.create ()));
+      ignore (S.Database.rebuild_index db path);
+      check "built";
+      let far = { (mk_entry rng 100) with embedding = Array.make Embedding.dim 9.0 } in
+      S.Database.merge ~into:db (S.Database.of_entries [ far ]);
+      check "after merge";
+      (match S.Database.load_index db path with
+      | Ok _ -> Alcotest.fail "stale index attached after merge"
+      | Error _ -> ());
+      S.Database.add db ~source:"gemm" ~nest ~recipe:[];
+      check "after add")
+
 (* ------------------------------------------------------------------ *)
 (* Robustness: mid-build crashes and corrupt index files *)
 
@@ -402,6 +442,61 @@ let test_corrupt_index_falls_back () =
       ignore (S.Database.query_embedding db ~k:5 q);
       Alcotest.(check int) "no repeat" 1 (S.Database.index_fallbacks ()))
 
+(* A non-finite coordinate is refused at build time, and a page that
+   carries one under a valid checksum is corrupt: the query falls back
+   to the scan. *)
+let test_non_finite_refused () =
+  List.iter
+    (fun x ->
+      let vecs = [| Array.make 4 0.0; Array.init 4 (fun i -> if i = 2 then x else 1.0) |] in
+      match Ann.build ~fingerprint:"nf" ~dim:4 vecs with
+      | _ -> Alcotest.failf "build accepted %h" x
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; neg_infinity ];
+  let rng = Rng.of_string "ann-non-finite" in
+  let db = S.Database.of_entries (List.init 50 (mk_entry rng)) in
+  let path = Filename.temp_file "daisyann" ".ann" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore (S.Database.rebuild_index db path);
+      S.Database.detach_index db;
+      (* rewrite page 0's first coordinate as an equally long spelling of
+         infinity and re-checksum the page: byte offsets stay valid *)
+      let lines = Array.of_list (String.split_on_char '\n' (read_file path)) in
+      let hdr =
+        Option.get
+          (Array.find_index (fun l -> String.starts_with ~prefix:"page 0 " l) lines)
+      in
+      let count =
+        match String.split_on_char ' ' lines.(hdr) with
+        | [ _; _; _; c ] -> int_of_string c
+        | _ -> Alcotest.fail "page header"
+      in
+      (match String.split_on_char ' ' lines.(hdr + 1) with
+      | "e" :: idx :: x0 :: rest ->
+          let inf = "1e" ^ String.make (String.length x0 - 2) '9' in
+          Alcotest.(check bool) "spelling is infinite" true
+            (float_of_string inf = infinity);
+          lines.(hdr + 1) <- String.concat " " ("e" :: idx :: inf :: rest)
+      | _ -> Alcotest.fail "entry line");
+      let body = Array.to_list (Array.sub lines (hdr + 1) count) in
+      lines.(hdr) <-
+        Printf.sprintf "page 0 %s %d"
+          (Util.fnv1a64 (String.concat "\n" body))
+          count;
+      write_file path (String.concat "\n" (Array.to_list lines));
+      (match S.Database.load_index db path with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail ("load refused: " ^ m));
+      S.Database.reset_index_fallbacks ();
+      let q = Array.make Embedding.dim 0.0 in
+      let project = List.map (fun (d, (e : S.Database.entry)) -> (d, e.source)) in
+      let indexed = project (S.Database.query_embedding db ~k:50 q) in
+      Alcotest.(check int) "one fallback" 1 (S.Database.index_fallbacks ());
+      Alcotest.(check (list (pair (float 0.0) string)))
+        "scan answers" (project (S.Database.query_embedding db ~k:50 q)) indexed)
+
 let test_truncated_index_refused () =
   let rng = Rng.of_string "ann-trunc" in
   let db = S.Database.of_entries (List.init 100 (mk_entry rng)) in
@@ -453,10 +548,14 @@ let suite =
       test_database_edges;
     Alcotest.test_case "database query on a real nest" `Quick
       test_database_query_nest;
+    Alcotest.test_case "database memo follows add/merge" `Quick
+      test_database_memo;
     Alcotest.test_case "ann_build crash keeps old index" `Quick
       test_build_crash_preserves_old_index;
     Alcotest.test_case "corrupt pages fall back to scan" `Quick
       test_corrupt_index_falls_back;
+    Alcotest.test_case "non-finite coordinates refused" `Quick
+      test_non_finite_refused;
     Alcotest.test_case "truncated index refused, scan works" `Quick
       test_truncated_index_refused;
     Alcotest.test_case "ann_query fault falls back" `Quick

@@ -357,6 +357,32 @@ let test_db_tolerates_truncation () =
         (S.Database.size db' >= 1);
       Alcotest.(check bool) "truncation warned" true (warnings <> []))
 
+let test_db_non_finite_embedding () =
+  let db, _ = make_db () in
+  let e = List.hd (S.Database.entries db) in
+  let bad =
+    {
+      e with
+      S.Database.source = "nan";
+      canon_hash = e.canon_hash + 1;
+      embedding = Array.mapi (fun i x -> if i = 3 then nan else x) e.embedding;
+    }
+  in
+  let path = Filename.temp_file "daisydb" ".db" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (* the entry's checksum is intact: only the value refuses it *)
+      S.Database.save (S.Database.of_entries (bad :: S.Database.entries db)) path;
+      let db', warnings = S.Database.load path in
+      check_same_entries "nan entry skipped" db db';
+      Alcotest.(check int) "exactly one warning" 1 (List.length warnings);
+      Alcotest.(check bool) "warning names the value" true
+        (List.exists
+           (fun w ->
+             Test_ann.contains_sub ~sub:"non-finite embedding value" w)
+           warnings))
+
 let test_db_whole_file_errors () =
   let path = Filename.temp_file "daisydb" ".db" in
   Fun.protect
@@ -677,6 +703,8 @@ let suite =
       test_db_tolerates_corruption;
     Alcotest.test_case "db: tolerates truncation" `Quick
       test_db_tolerates_truncation;
+    Alcotest.test_case "db: non-finite embedding skipped" `Quick
+      test_db_non_finite_embedding;
     Alcotest.test_case "db: whole-file errors" `Quick test_db_whole_file_errors;
     Alcotest.test_case "db: load fault point" `Quick test_db_load_fault_point;
     Alcotest.test_case "db: crashed save keeps the old file" `Quick

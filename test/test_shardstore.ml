@@ -114,6 +114,11 @@ let test_roundtrip () =
 (* The 200-database differential: sharded top-k == monolithic scan,
    distances and order, committed + pending + dedup included *)
 
+(* queries that draw no randomness, so the suite's random inputs stay
+   put: one far outside every shard's box, one at the grid's centre *)
+let far_q = Array.init Embedding.dim (fun i -> if i mod 2 = 0 then 1e4 else -1e4)
+let centre_q ~grid = Array.make Embedding.dim (float_of_int (grid / 2))
+
 let test_differential_200 () =
   for seed = 0 to 199 do
     let rng = Rng.of_string (Printf.sprintf "shard-diff-%d" seed) in
@@ -151,11 +156,25 @@ let test_differential_200 () =
             ~name:(Printf.sprintf "seed %d query %d (pending)" seed qi)
             st mono ~k q
         done;
+        let edge_queries phase =
+          List.iter
+            (fun (what, k, q) ->
+              check_topk
+                ~name:(Printf.sprintf "seed %d %s (%s)" seed what phase)
+                st mono ~k q)
+            [
+              ("far query", 10, far_q);
+              ("far query, k past size", S.Database.size mono + 3, far_q);
+              ("k past size", S.Database.size mono + 3, centre_q ~grid);
+            ]
+        in
+        edge_queries "pending";
         (* compacting must not change a single answer *)
         ignore (Store.compact st);
         let q = random_q rng ~grid in
         check_topk ~name:(Printf.sprintf "seed %d compacted" seed) st mono
           ~k:10 q;
+        edge_queries "compacted";
         (* nor must a crash-free reopen *)
         if seed mod 7 = 0 then begin
           let st2 = Store.open_ dir in
@@ -596,6 +615,182 @@ let test_refresh () =
       Alcotest.(check bool)
         "steady state" true (Store.refresh reader = `Unchanged))
 
+(* ------------------------------------------------------------------ *)
+(* Shard pruning: a query visits shards in box-bound order and stops at
+   the first bound strictly past its k-th best distance *)
+
+(* [mk_entry] moved by [at] on every axis *)
+let mk_entry_at ~at ~grid rng i : S.Database.entry =
+  let e = mk_entry ~grid rng i in
+  { e with embedding = Array.map (fun x -> x +. at) e.embedding }
+
+(* 40 entries near the origin and 40 moved by 1000 on every axis: the
+   root split separates them, so no shard mixes the two *)
+let two_clusters rng =
+  List.init 40 (mk_entry ~grid:4 rng)
+  @ List.init 40 (fun i -> mk_entry_at ~at:1000. ~grid:4 rng (100 + i))
+
+(* At 600 on every axis an entry routes into the near cluster's half of
+   the tree, yet every far shard's committed box is closer to it than
+   its own shard's: only the pending entry itself can bound its shard. *)
+let between rng i = mk_entry_at ~at:600. ~grid:4 rng i
+
+(* (segment file, its entries) for every shard the manifest lists *)
+let segments dir : (string * S.Database.entry list) list =
+  In_channel.with_open_bin (Filename.concat dir "MANIFEST") In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun l ->
+         match String.split_on_char ' ' l with
+         | [ "shard"; _; _; _; file; _ ] ->
+             let db, _ = S.Database.load (Filename.concat dir file) in
+             Some (file, S.Database.entries db)
+         | _ -> None)
+
+(* flip the last byte of a sidecar's first page entry line: the page
+   now fails its checksum when a query first touches it *)
+let corrupt_first_page path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let start = Option.get (Test_ann.find_sub ~sub:"\ne " s) + 1 in
+  let i = String.index_from s start '\n' - 1 in
+  let b = Bytes.of_string s in
+  Bytes.set b i (if Bytes.get b i = '0' then '1' else '0');
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+
+let test_prune_far_shards () =
+  with_dir (fun dir ->
+      let rng = Rng.of_string "shard-prune" in
+      let mono = mono_of (two_clusters rng) in
+      ignore (Store.create ~shard_cap:8 dir mono);
+      let far_file, far_entries =
+        List.find
+          (fun (_, es) ->
+            List.for_all (fun (e : S.Database.entry) -> e.embedding.(0) >= 1000.) es)
+          (segments dir)
+      in
+      (* reopened, every sidecar is paged: a page is read only when a
+         query visits its shard *)
+      let st = Store.open_ dir in
+      corrupt_first_page (Filename.concat dir (far_file ^ ".ann"));
+      S.Database.reset_index_fallbacks ();
+      for i = 0 to 9 do
+        check_topk ~name:(Printf.sprintf "near query %d" i) st mono ~k:5
+          (random_q rng ~grid:4)
+      done;
+      Alcotest.(check int)
+        "far shards never touched" 0 (S.Database.index_fallbacks ());
+      let q = (List.hd far_entries).embedding in
+      check_topk ~name:"query at the damaged shard" st mono ~k:5 q;
+      Alcotest.(check int)
+        "the damaged page falls back once" 1 (S.Database.index_fallbacks ());
+      check_topk ~name:"again, on the scan" st mono ~k:5 q;
+      Alcotest.(check int) "no second fallback" 1 (S.Database.index_fallbacks ()))
+
+(* an entry appended outside every committed shard's box widens its
+   shard's bound while it is pending *)
+let test_prune_pending () =
+  with_dir (fun dir ->
+      let rng = Rng.of_string "shard-prune-pending" in
+      let chron = two_clusters rng in
+      let st = Store.create ~shard_cap:8 dir (mono_of chron) in
+      let x = between rng 200 in
+      Store.append st [ x ];
+      let mono = mono_of (chron @ [ x ]) in
+      (match Store.query_embedding st ~k:1 x.embedding with
+      | [ (d, e) ] ->
+          Alcotest.(check string) "pending entry found" x.source e.source;
+          Alcotest.(check (float 0.0)) "at distance 0" 0.0 d
+      | _ -> Alcotest.fail "expected one answer");
+      List.iter
+        (fun k -> check_topk ~name:(Printf.sprintf "k=%d at x" k) st mono ~k x.embedding)
+        [ 1; 5; 81 ];
+      check_topk ~name:"near query" st mono ~k:5 (random_q rng ~grid:4))
+
+(* A reader's shard bounds follow refresh. After another handle
+   compacts the reader's pending entry, refresh swaps the rewritten
+   shard and reuses the rest with [view = db]; after a manifest change
+   that rewrites no segment (a scrub), every shard is reused — the one
+   holding a pending entry too — and the WAL replay re-adds it. *)
+let test_prune_refresh () =
+  with_dir (fun dir ->
+      let rng = Rng.of_string "shard-prune-refresh" in
+      let chron = two_clusters rng in
+      let writer = Store.create ~shard_cap:8 dir (mono_of chron) in
+      let reader = Store.open_ dir in
+      let x = between rng 200 and y = between rng 201 in
+      let check what chron (e : S.Database.entry) =
+        let mono = mono_of chron in
+        List.iter
+          (fun k ->
+            check_topk ~name:(Printf.sprintf "%s, k=%d" what k) reader mono ~k
+              e.embedding)
+          [ 1; 5 ];
+        check_topk ~name:(what ^ ", near query") reader mono ~k:5
+          (random_q rng ~grid:4)
+      in
+      Store.append writer [ x ];
+      ignore (Store.refresh reader);
+      check "x pending" (chron @ [ x ]) x;
+      ignore (Store.compact writer);
+      (match Store.refresh reader with
+      | `Changed (swapped, _) ->
+          Alcotest.(check bool) "some shards reused" true
+            (swapped < (Store.stats reader).Store.st_shards)
+      | `Unchanged -> Alcotest.fail "reader missed the compaction");
+      check "x compacted" (chron @ [ x ]) x;
+      Store.append writer [ y ];
+      ignore (Store.refresh reader);
+      Alcotest.(check int) "y pending" 1 (Store.wal_depth reader);
+      ignore (Store.scrub ~now:1.0 writer);
+      (match Store.refresh reader with
+      | `Changed (0, 1) -> ()
+      | _ -> Alcotest.fail "expected every shard reused and y replayed");
+      check "y pending after reuse" (chron @ [ x; y ]) y)
+
+(* ------------------------------------------------------------------ *)
+(* Non-finite embeddings never enter the store *)
+
+let test_non_finite () =
+  with_dir (fun dir ->
+      let rng = Rng.of_string "shard-non-finite" in
+      let chron = mk_entries ~grid:4 rng ~n:20 in
+      let bad =
+        let e = mk_entry ~grid:4 rng 100 in
+        { e with embedding = Array.mapi (fun i x -> if i = 5 then nan else x) e.embedding }
+      in
+      let st = Store.create ~shard_cap:8 dir (mono_of chron) in
+      let wal = Filename.concat dir "wal.log" in
+      let read () = In_channel.with_open_bin wal In_channel.input_all in
+      Store.append st [ mk_entry ~grid:4 rng 101 ];
+      let before = read () in
+      List.iter
+        (fun batch ->
+          match Store.append st batch with
+          | () -> Alcotest.fail "append accepted a nan embedding"
+          | exception Invalid_argument _ ->
+              Alcotest.(check string) "WAL byte-identical" before (read ()))
+        [ [ bad ]; [ mk_entry ~grid:4 rng 102; bad ] ];
+      Alcotest.(check int) "nothing pending added" 1 (Store.wal_depth st);
+      (* a well-formed, checksummed WAL record carrying nan (written by
+         another tool) is dropped on replay with a warning *)
+      let lines = S.Database.entry_to_lines bad in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 wal (fun oc ->
+          Printf.fprintf oc "rec %s %d\n%send\n"
+            (Daisy_support.Util.fnv1a64 (String.concat "\n" lines))
+            (List.length lines)
+            (String.concat "" (List.map (fun l -> l ^ "\n") lines)));
+      Diag.reset_warn ();
+      let st2 = Store.open_ dir in
+      Alcotest.(check int) "nan record dropped" 1 (Store.wal_depth st2);
+      Alcotest.(check int)
+        "one replay warning" 1 (Diag.warn_calls "shard_wal_replay");
+      Alcotest.(check string)
+        "reopen = pre-state" (Store.fingerprint st) (Store.fingerprint st2);
+      let sub = Filename.concat dir "sub" in
+      (match Store.create sub (mono_of (chron @ [ bad ])) with
+      | _ -> Alcotest.fail "create accepted a nan embedding"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) "no store created" false (Store.is_store_dir sub))
+
 let suite =
   [
     Alcotest.test_case "roundtrip + as_database" `Quick test_roundtrip;
@@ -609,4 +804,11 @@ let suite =
     Alcotest.test_case "idempotent replay" `Quick test_idempotent_replay;
     Alcotest.test_case "WAL trim" `Quick test_trim_wal;
     Alcotest.test_case "reader refresh" `Quick test_refresh;
+    Alcotest.test_case "pruning: far shards untouched" `Quick
+      test_prune_far_shards;
+    Alcotest.test_case "pruning: pending entries count" `Quick
+      test_prune_pending;
+    Alcotest.test_case "pruning: after reader refresh" `Quick
+      test_prune_refresh;
+    Alcotest.test_case "non-finite embeddings refused" `Quick test_non_finite;
   ]
