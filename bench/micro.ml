@@ -231,7 +231,6 @@ type trace_row = {
   tree_s : float;
   tbytecode_s : float;  (** unfused bytecode walk (the schema-2 baseline) *)
   tfused_s : float;  (** fused addressing + batched stream replay *)
-  tmemo_s : float;  (** fused walk against a warm simulation memo *)
   approx_s : float;
   lat_p50_s : float;  (** per-candidate fused-evaluation latency quantiles *)
   lat_p95_s : float;
@@ -240,25 +239,21 @@ type trace_row = {
   approx_rel_err : float;
 }
 
-type e2e_row = {
-  engine_name : string;
-  seed_s : float;
-  memo_hits : int;
-  memo_misses : int;
-}
+type e2e_row = { engine_name : string; seed_s : float }
 
 (** Perf-trajectory record for the cost-model fast path: per-kernel
     wall-clock of the engines plus the exactness/accuracy checks, and
-    end-to-end scheduling-database seeding per engine. Schema 4 drops
-    schema 3's closure-engine columns ([compiled_s], [speedup_compiled]
-    and the [compiled] seeding row); every other column keeps its meaning
+    end-to-end scheduling-database seeding per engine. Schema 5 drops
+    schema 4's simulation-memo columns ([memo_hit_s] and the seeding
+    rows' [memo_hits]/[memo_misses]); schema 4 dropped schema 3's
+    closure-engine columns. Every other column keeps its meaning
     ([bytecode_s] is still the unfused walk), so trajectories stay
     comparable across schemas. Accumulated across PRs by CI (see
     docs/performance.md). *)
 let write_trace_json ~path (rows : trace_row list) (e2e : e2e_row list) =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"trace\",\n  \"schema\": 4,\n  \"results\": [\n";
+  out "{\n  \"bench\": \"trace\",\n  \"schema\": 5,\n  \"results\": [\n";
   List.iteri
     (fun i r ->
       let sizes =
@@ -267,14 +262,12 @@ let write_trace_json ~path (rows : trace_row list) (e2e : e2e_row list) =
       in
       out
         "    {\"kernel\": \"%s\", \"sizes\": {%s}, \"tree_s\": %.6f, \
-         \"bytecode_s\": %.6f, \"fused_s\": %.6f, \
-         \"memo_hit_s\": %.6f, \"approx_s\": %.6f, \
+         \"bytecode_s\": %.6f, \"fused_s\": %.6f, \"approx_s\": %.6f, \
          \"speedup_bytecode\": %.2f, \
          \"speedup_fused\": %.2f, \"speedup_approx\": %.2f, \
          \"lat_p50_s\": %.6f, \"lat_p95_s\": %.6f, \"lat_p99_s\": %.6f, \
          \"exact_identical\": %b, \"approx_rel_err\": %.4f}%s\n"
-        r.tkernel sizes r.tree_s r.tbytecode_s r.tfused_s
-        r.tmemo_s r.approx_s
+        r.tkernel sizes r.tree_s r.tbytecode_s r.tfused_s r.approx_s
         (r.tree_s /. r.tbytecode_s)
         (r.tbytecode_s /. r.tfused_s)
         (r.tree_s /. r.approx_s)
@@ -284,10 +277,8 @@ let write_trace_json ~path (rows : trace_row list) (e2e : e2e_row list) =
   out "  ],\n  \"end_to_end\": [\n";
   List.iteri
     (fun i e ->
-      out
-        "    {\"engine\": \"%s\", \"seed_s\": %.6f, \"memo_hits\": %d, \
-         \"memo_misses\": %d}%s\n"
-        e.engine_name e.seed_s e.memo_hits e.memo_misses
+      out "    {\"engine\": \"%s\", \"seed_s\": %.6f}%s\n" e.engine_name
+        e.seed_s
         (if i = List.length e2e - 1 then "" else ","))
     e2e;
   out "  ]\n}\n";
@@ -312,7 +303,6 @@ let trace_cycles engine p ~sizes =
 let trace_seed_wallclock ~smoke (engine : Cost.engine) =
   let module S = Daisy_scheduler in
   let kernels = if smoke then [ Pb.gemm ] else [ Pb.gemm; Pb.atax; Pb.jacobi_2d ] in
-  let hits = ref 0 and misses = ref 0 in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (b : Pb.benchmark) ->
@@ -322,14 +312,9 @@ let trace_seed_wallclock ~smoke (engine : Cost.engine) =
       in
       let db = S.Database.create () in
       S.Seed.seed_database ~epochs:1 ~population:6 ~iterations:2 ctx ~db
-        [ (b.Pb.name, Pb.program b) ];
-      match S.Common.sim_memo_stats ctx with
-      | Some (h, m) ->
-          hits := !hits + h;
-          misses := !misses + m
-      | None -> ())
+        [ (b.Pb.name, Pb.program b) ])
     kernels;
-  (Unix.gettimeofday () -. t0, !hits, !misses)
+  Unix.gettimeofday () -. t0
 
 (** [trace_bench ~smoke ()] — wall-clock of the tree trace walker vs the
     flat-bytecode engine, unfused and fused (both bit-identical to the
@@ -366,16 +351,6 @@ let trace_bench ?(smoke = false) () =
         in
         Array.sort compare lats;
         let tfused_s = percentile lats 0.5 in
-        let tmemo_s =
-          let memo = Tb.memo_create Config.default in
-          ignore
-            (Tb.run Config.default p ~sizes ~sample_outer:trace_sample_outer
-               ~batch:true ~memo ());
-          median_time reps (fun () ->
-              ignore
-                (Tb.run Config.default p ~sizes
-                   ~sample_outer:trace_sample_outer ~batch:true ~memo ()))
-        in
         let approx_s =
           median_time reps (fun () ->
               ignore
@@ -387,26 +362,18 @@ let trace_bench ?(smoke = false) () =
           Trace.run Config.default p ~sizes ~sample_outer:trace_sample_outer ()
         in
         let exact_identical =
-          let memo = Tb.memo_create Config.default in
           List.for_all2 Trace.counters_equal tree_counters
             (Tb.run Config.default p ~sizes ~sample_outer:trace_sample_outer
                ~batch:false ())
           && List.for_all2 Trace.counters_equal tree_counters
                (Tb.run Config.default p ~sizes
                   ~sample_outer:trace_sample_outer ~batch:true ())
-          && List.for_all2 Trace.counters_equal tree_counters
-               (Tb.run Config.default p ~sizes
-                  ~sample_outer:trace_sample_outer ~batch:true ~memo ())
-          && List.for_all2 Trace.counters_equal tree_counters
-               (* memo hit pass *)
-               (Tb.run Config.default p ~sizes
-                  ~sample_outer:trace_sample_outer ~batch:true ~memo ())
         in
         let c_exact = trace_cycles Cost.Bytecode p ~sizes in
         let c_approx = trace_cycles (Cost.Approx Tb.default_approx) p ~sizes in
         let approx_rel_err = Float.abs (c_approx -. c_exact) /. c_exact in
         { tkernel = name; tsizes = sizes; tree_s; tbytecode_s;
-          tfused_s; tmemo_s; approx_s;
+          tfused_s; approx_s;
           lat_p50_s = percentile lats 0.5;
           lat_p95_s = percentile lats 0.95;
           lat_p99_s = percentile lats 0.99;
@@ -414,13 +381,13 @@ let trace_bench ?(smoke = false) () =
       (trace_cases ~smoke)
   in
   Format.printf "@.Trace engines: tree walker vs bytecode \
-                 (unfused/fused/memo) vs sampled@.";
-  Format.printf "  %-16s %10s %12s %10s %10s %8s %7s %6s@." "kernel"
-    "tree (s)" "bytecode (s)" "fused (s)" "memo (s)" "fused-x" "exact" "err";
+                 (unfused/fused) vs sampled@.";
+  Format.printf "  %-16s %10s %12s %10s %8s %7s %6s@." "kernel"
+    "tree (s)" "bytecode (s)" "fused (s)" "fused-x" "exact" "err";
   List.iter
     (fun r ->
-      Format.printf "  %-16s %10.5f %12.5f %10.5f %10.5f %7.2fx %7b %5.1f%%@."
-        r.tkernel r.tree_s r.tbytecode_s r.tfused_s r.tmemo_s
+      Format.printf "  %-16s %10.5f %12.5f %10.5f %7.2fx %7b %5.1f%%@."
+        r.tkernel r.tree_s r.tbytecode_s r.tfused_s
         (r.tbytecode_s /. r.tfused_s)
         r.exact_identical
         (100.0 *. r.approx_rel_err);
@@ -447,23 +414,13 @@ let trace_bench ?(smoke = false) () =
   let e2e =
     List.map
       (fun (engine_name, engine) ->
-        let seed_s, memo_hits, memo_misses =
-          trace_seed_wallclock ~smoke engine
-        in
-        { engine_name; seed_s; memo_hits; memo_misses })
+        { engine_name; seed_s = trace_seed_wallclock ~smoke engine })
       [ ("tree", Cost.Tree); ("bytecode", Cost.Bytecode);
         ("approx", Cost.Approx Tb.default_approx) ]
   in
   Format.printf "@.End-to-end database seeding (Evolve.search inside):@.";
   List.iter
-    (fun e ->
-      let lookups = e.memo_hits + e.memo_misses in
-      if lookups > 0 then
-        Format.printf "  %-10s %8.3f s  (sim memo: %d hits / %d lookups, \
-                       %.0f%%)@."
-          e.engine_name e.seed_s e.memo_hits lookups
-          (100.0 *. float_of_int e.memo_hits /. float_of_int lookups)
-      else Format.printf "  %-10s %8.3f s@." e.engine_name e.seed_s)
+    (fun e -> Format.printf "  %-10s %8.3f s@." e.engine_name e.seed_s)
     e2e;
   write_trace_json ~path:"BENCH_trace.json" rows e2e;
   Format.printf "  [wrote BENCH_trace.json]@."
@@ -559,39 +516,36 @@ type ann_row = {
   scan_s : float;  (** per-query seconds, linear scan *)
   kd_build_s : float;
   kd_s : float;
-  lsh_build_s : float;
-  lsh_s : float;
   agree : bool;  (** exact top-k agreement on every query *)
 }
 
 (** Perf-trajectory record for the ANN index: per-query latency of the
-    linear scan vs both index structures across database sizes, plus the
-    exactness check. Accumulated across PRs by CI (see
-    docs/performance.md). *)
+    linear scan vs the k-d tree across database sizes, plus the
+    exactness check. Schema 2 drops schema 1's LSH columns
+    ([lsh_build_s], [lsh_query_s], [lsh_speedup]); the rest keep their
+    meaning. Accumulated across PRs by CI (see docs/performance.md). *)
 let write_ann_json ~path (rows : ann_row list) =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"ann\",\n  \"schema\": 1,\n  \"results\": [\n";
+  out "{\n  \"bench\": \"ann\",\n  \"schema\": 2,\n  \"results\": [\n";
   List.iteri
     (fun i r ->
       out
         "    {\"n\": %d, \"scan_s\": %.9f, \"kd_build_s\": %.6f, \
-         \"kd_query_s\": %.9f, \"lsh_build_s\": %.6f, \"lsh_query_s\": \
-         %.9f, \"kd_speedup\": %.2f, \"lsh_speedup\": %.2f, \"agree\": \
-         %b}%s\n"
-        r.an r.scan_s r.kd_build_s r.kd_s r.lsh_build_s r.lsh_s
-        (r.scan_s /. r.kd_s) (r.scan_s /. r.lsh_s) r.agree
+         \"kd_query_s\": %.9f, \"kd_speedup\": %.2f, \"agree\": %b}%s\n"
+        r.an r.scan_s r.kd_build_s r.kd_s (r.scan_s /. r.kd_s) r.agree
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  ]\n}\n";
   close_out oc
 
 (** [ann_bench ~smoke ()] — top-5 query latency of the linear scan vs the
-    k-d tree and LSH-bucket indexes over synthetic embedding databases of
-    10^2..10^6 entries (10^5 in the smoke configuration), with an exact
-    top-k agreement check on every query, written to BENCH_ann.json. The
-    acceptance bar (docs/performance.md): at 10^5 entries the indexed
-    query is >= 10x faster than the scan. *)
+    k-d tree over synthetic embedding databases of 10^2..10^6 entries
+    (10^5 in the smoke configuration), with an exact top-k agreement
+    check on every query, written to BENCH_ann.json. The acceptance bar
+    (docs/performance.md): at 10^5 entries the indexed query is >= 10x
+    faster than the scan, and it agrees with the scan at every size. CI
+    greps "-> ok". *)
 let ann_bench ?(smoke = false) () =
   let k = 5 in
   let reps = if smoke then 1 else 3 in
@@ -614,51 +568,38 @@ let ann_bench ?(smoke = false) () =
           /. nq
         in
         let t0 = Unix.gettimeofday () in
-        let kd =
-          Ann.build ~algo:Ann.Kd ~fingerprint:"bench" ~dim:Embedding.dim vecs
-        in
+        let kd = Ann.build ~fingerprint:"bench" ~dim:Embedding.dim vecs in
         let kd_build_s = Unix.gettimeofday () -. t0 in
-        let t0 = Unix.gettimeofday () in
-        let lsh =
-          Ann.build ~algo:Ann.Lsh ~fingerprint:"bench" ~dim:Embedding.dim vecs
-        in
-        let lsh_build_s = Unix.gettimeofday () -. t0 in
         let kd_s =
           median_time reps (fun () ->
               List.iter (fun q -> ignore (Ann.query kd ~k q)) queries)
           /. nq
         in
-        let lsh_s =
-          median_time reps (fun () ->
-              List.iter (fun q -> ignore (Ann.query lsh ~k q)) queries)
-          /. nq
-        in
         let agree =
-          List.for_all
-            (fun q ->
-              let expect = scan q in
-              Ann.query kd ~k q = expect && Ann.query lsh ~k q = expect)
-            queries
+          List.for_all (fun q -> Ann.query kd ~k q = scan q) queries
         in
-        { an = n; scan_s; kd_build_s; kd_s; lsh_build_s; lsh_s; agree })
+        { an = n; scan_s; kd_build_s; kd_s; agree })
       sizes
   in
   Format.printf "@.ANN index: top-%d query latency vs database size@." k;
-  Format.printf "  %10s %12s %12s %8s %12s %8s %6s@." "entries" "scan (s)"
-    "kd (s)" "vs scan" "lsh (s)" "vs scan" "exact";
+  Format.printf "  %10s %12s %12s %8s %6s@." "entries" "scan (s)" "kd (s)"
+    "vs scan" "exact";
   List.iter
     (fun r ->
-      Format.printf "  %10d %12.3e %12.3e %7.1fx %12.3e %7.1fx %6b@." r.an
-        r.scan_s r.kd_s (r.scan_s /. r.kd_s) r.lsh_s (r.scan_s /. r.lsh_s)
-        r.agree)
+      Format.printf "  %10d %12.3e %12.3e %7.1fx %6b@." r.an r.scan_s r.kd_s
+        (r.scan_s /. r.kd_s) r.agree)
     rows;
-  (match List.find_opt (fun r -> r.an = 100_000) rows with
-  | Some r ->
-      Format.printf
-        "  acceptance: at 1e5 entries kd is %.1fx the scan (bar: >= 10x), \
-         agreement %b@."
-        (r.scan_s /. r.kd_s) r.agree
-  | None -> ());
+  let speedup =
+    match List.find_opt (fun r -> r.an = 100_000) rows with
+    | Some r -> r.scan_s /. r.kd_s
+    | None -> 0.0
+  in
+  let agree = List.for_all (fun r -> r.agree) rows in
+  Format.printf
+    "  acceptance: at 1e5 entries kd is %.1fx the scan (bar: >= 10x), \
+     agreement at every n %b -> %s@."
+    speedup agree
+    (if speedup >= 10.0 && agree then "ok" else "FAIL");
   write_ann_json ~path:"BENCH_ann.json" rows;
   Format.printf "  [wrote BENCH_ann.json]@."
 

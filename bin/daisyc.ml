@@ -436,11 +436,6 @@ let seed_cmd =
           shard_out;
         Option.iter Daisy.Support.Checkpoint.delete journal;
         report_quarantine quarantine;
-        (match S.Common.sim_memo_stats ctx with
-        | Some (h, m) when h + m > 0 ->
-            Fmt.pr "simulation memo: %d hits / %d lookups (%.0f%%)@." h (h + m)
-              (100.0 *. float_of_int h /. float_of_int (h + m))
-        | _ -> ());
         Option.iter
           (fun out ->
             Fmt.pr "saved database: %d entries -> %s@." (S.Database.size db)

@@ -1,30 +1,20 @@
-(** Sub-linear nearest-neighbour indexes over performance embeddings.
+(** Sub-linear nearest-neighbour index over performance embeddings.
 
     [Embedding.nearest_by] is a linear scan — fine at benchmark-suite
     size, disqualifying at the million-entry recipe databases the serving
-    roadmap targets. This module provides two index structures with one
+    roadmap targets. This module provides a bucket {b k-d tree} with one
     non-negotiable contract: a query returns {e exactly} the same top-k
     (distances and order) as the linear scan, for every database of
     finite vectors (box bounds only bound finite distances: {!build}
     refuses others, a page carrying one is corrupt) and every query.
 
-    - a bucket {b k-d tree} (the low-dimensional exact workhorse):
-      leaves hold up to {!page_cap} entries, internal nodes carry the
-      bounding box of their subtree, and queries run best-bin-first — a
-      min-heap of (lower-bound, subtree) visited in bound order, bounded
-      by pruning against the current k-th best distance;
-    - {b LSH buckets} (selected automatically past a dimensionality or
-      entry-count threshold, see {!auto_algo}): entries are quantized by
-      deterministic unit projections into buckets, and a query scans
-      buckets in increasing order of a per-bucket distance lower bound
-      (a projection is 1-Lipschitz, so the projection-space gap to a
-      bucket's cell lower-bounds the true distance), stopping once the
-      bound exceeds the k-th best.
-
-    Both searches prune with {e strict} comparisons against the k-th
-    best distance and rank candidates with {!Embedding.compare_key}
-    extended by the entry index, so ties resolve exactly as the scan's
-    stable ordering does.
+    Leaves hold up to {!page_cap} entries, internal nodes carry the
+    bounding box of their subtree, and queries run best-bin-first — a
+    min-heap of (lower-bound, subtree) visited in bound order, bounded by
+    pruning against the current k-th best distance. The search prunes
+    with {e strict} comparisons against the k-th best distance and ranks
+    candidates with {!Embedding.compare_key} extended by the entry index,
+    so ties resolve exactly as the scan's stable ordering does.
 
     Indexes persist in a versioned [DAISYANN 1] file written atomically
     next to the DAISYDB file, with FNV-1a-64 checksums per section and
@@ -47,43 +37,14 @@ let () =
 let magic = "DAISYANN"
 let version = 1
 
-(** Leaf capacity of the k-d tree and target LSH bucket occupancy. *)
+(** Leaf capacity of the k-d tree. *)
 let page_cap = 64
-
-(** Number of LSH projections. *)
-let lsh_projs = 8
-
-type algo = Kd | Lsh
-
-let string_of_algo = function Kd -> "kd" | Lsh -> "lsh"
-
-let algo_of_string = function
-  | "kd" -> Some Kd
-  | "lsh" -> Some Lsh
-  | _ -> None
-
-(** [auto_algo ~n ~dim] — the k-d tree is exact and fast while the
-    dimensionality stays low and the tree fits comfortably; past either
-    threshold the bucketed path wins. *)
-let auto_algo ~n ~dim = if dim > 24 || n > 250_000 then Lsh else Kd
 
 type entry = { eidx : int; vec : float array }
 
 type node =
   | Leaf of { lo : float array; hi : float array; page : int }
   | Split of { lo : float array; hi : float array; left : node; right : node }
-
-type lsh = {
-  projs : float array array;  (** [lsh_projs] unit directions *)
-  mins : float array;  (** per-projection minimum over all entries *)
-  width : float;  (** quantization cell width (> 0) *)
-  codes : int array array;  (** bucket code of each page *)
-}
-
-type structure =
-  | Empty
-  | Kdtree of node
-  | Buckets of lsh
 
 type pages =
   | Mem of entry array array
@@ -95,11 +56,10 @@ type pages =
     }
 
 type t = {
-  algo : algo;
   n : int;
   dim : int;
   fingerprint : string;
-  structure : structure;
+  root : node option;  (** [None] for an empty index *)
   npages : int;
   pages : pages;
 }
@@ -107,22 +67,11 @@ type t = {
 let n t = t.n
 let dim t = t.dim
 let fingerprint t = t.fingerprint
-let algo t = t.algo
 let pages t = t.npages
-
-let describe t =
-  Printf.sprintf "%s, %d entries, %d pages" (string_of_algo t.algo) t.n
-    t.npages
+let describe t = Printf.sprintf "kd, %d entries, %d pages" t.n t.npages
 
 (* ------------------------------------------------------------------ *)
 (* Shared small pieces *)
-
-let dot (a : float array) (b : float array) : float =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
 
 let bbox (es : entry array) ~dim : float array * float array =
   let lo = Array.make dim infinity and hi = Array.make dim neg_infinity in
@@ -254,67 +203,7 @@ let build_kd bp ~dim (es : entry array) : node =
   in
   go es
 
-(** Deterministic unit projection directions: derived from a named
-    stream, so build and every rebuild agree bit-for-bit. *)
-let make_projs ~dim : float array array =
-  Array.init lsh_projs (fun i ->
-      let rng = Rng.of_string (Printf.sprintf "daisyann-proj-%d-%d" dim i) in
-      let v = Array.init dim (fun _ -> Rng.float rng -. 0.5) in
-      let norm = sqrt (dot v v) in
-      if norm > 0.0 then Array.map (fun x -> x /. norm) v
-      else Array.init dim (fun j -> if j = 0 then 1.0 else 0.0))
-
-let build_lsh bp ~dim (es : entry array) : lsh =
-  let projs = make_projs ~dim in
-  let n = Array.length es in
-  let vals =
-    Array.map (fun u -> Array.map (fun e -> dot u e.vec) es) projs
-  in
-  let mins = Array.map (fun col -> Array.fold_left min infinity col) vals in
-  let maxs =
-    Array.map (fun col -> Array.fold_left max neg_infinity col) vals
-  in
-  (* target ~n/page_cap occupied buckets: b cells per projection *)
-  let b =
-    max 1
-      (int_of_float
-         (ceil
-            (Float.pow
-               (float_of_int (max 1 n) /. float_of_int page_cap)
-               (1.0 /. float_of_int lsh_projs))))
-  in
-  let range =
-    Array.fold_left max 0.0 (Array.map2 (fun a b -> b -. a) mins maxs)
-  in
-  let width = if range > 0.0 then range /. float_of_int b else 1.0 in
-  let code_of i =
-    Array.init lsh_projs (fun j ->
-        int_of_float (floor ((vals.(j).(i) -. mins.(j)) /. width)))
-  in
-  let tbl : (int array, entry list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i e ->
-      let c = code_of i in
-      Hashtbl.replace tbl c (e :: (Option.value ~default:[] (Hashtbl.find_opt tbl c))))
-    es;
-  let buckets =
-    Hashtbl.fold (fun c es acc -> (c, es) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let codes =
-    List.map
-      (fun (c, es) ->
-        (* entries in index order within the bucket *)
-        let arr = Array.of_list es in
-        Array.sort (fun a b -> compare a.eidx b.eidx) arr;
-        ignore (add_page bp arr);
-        c)
-      buckets
-    |> Array.of_list
-  in
-  { projs; mins; width; codes }
-
-let build ?algo ~fingerprint ~dim (vectors : float array array) : t =
+let build ~fingerprint ~dim (vectors : float array array) : t =
   if dim <= 0 then invalid_arg "Ann.build: dim must be positive";
   Array.iteri
     (fun i v ->
@@ -327,22 +216,14 @@ let build ?algo ~fingerprint ~dim (vectors : float array array) : t =
           (Printf.sprintf "Ann.build: vector %d has a non-finite coordinate" i))
     vectors;
   let n = Array.length vectors in
-  let algo = match algo with Some a -> a | None -> auto_algo ~n ~dim in
   let es = Array.mapi (fun eidx vec -> { eidx; vec }) vectors in
   let bp = { rev = []; count = 0 } in
-  let structure =
-    if n = 0 then Empty
-    else
-      match algo with
-      | Kd -> Kdtree (build_kd bp ~dim es)
-      | Lsh -> Buckets (build_lsh bp ~dim es)
-  in
+  let root = if n = 0 then None else Some (build_kd bp ~dim es) in
   {
-    algo;
     n;
     dim;
     fingerprint;
-    structure;
+    root;
     npages = bp.count;
     pages = Mem (Array.of_list (List.rev bp.rev));
   }
@@ -531,38 +412,6 @@ let query_kd t root tk (q : float array) : unit =
               Frontier.push frontier (box_lb q rlo rhi) right)
   done
 
-let query_lsh t (l : lsh) tk (q : float array) : unit =
-  let qp = Array.map (fun u -> dot u q) l.projs in
-  (* lower bound on the true distance from q to anything in the page's
-     bucket: each projection is 1-Lipschitz, so the largest
-     projection-space gap to the bucket's cell bounds from below *)
-  let page_lb (code : int array) : float =
-    let m = ref 0.0 in
-    for j = 0 to lsh_projs - 1 do
-      let ilo = l.mins.(j) +. (float_of_int code.(j) *. l.width) in
-      let ihi = ilo +. l.width in
-      let d =
-        if qp.(j) < ilo then ilo -. qp.(j)
-        else if qp.(j) > ihi then qp.(j) -. ihi
-        else 0.0
-      in
-      if d > !m then m := d
-    done;
-    !m
-  in
-  let order = Array.mapi (fun i code -> (page_lb code, i)) l.codes in
-  Array.sort
-    (fun (a, i) (b, j) ->
-      if a < b then -1 else if a > b then 1 else compare i j)
-    order;
-  (try
-     Array.iter
-       (fun (lb, page) ->
-         if topk_full tk && lb > topk_bound tk then raise Exit
-         else Array.iter (topk_offer tk q) (fetch_page t page))
-       order
-   with Exit -> ())
-
 (** [query t ~k q] — the [k] entries nearest to [q]: exactly
     [Embedding.nearest_by]'s result (distances and order) over the
     indexed vectors, as [(distance, entry index)] pairs. Raises
@@ -578,10 +427,7 @@ let query t ~k (q : float array) : (float * int) list =
   if k <= 0 then []
   else
     let tk = topk_create k in
-    (match t.structure with
-    | Empty -> ()
-    | Kdtree root -> query_kd t root tk q
-    | Buckets l -> query_lsh t l tk q);
+    Option.iter (fun root -> query_kd t root tk q) t.root;
     topk_result tk
 
 (* ------------------------------------------------------------------ *)
@@ -591,12 +437,11 @@ let query t ~k (q : float array) : (float * int) list =
 
    {v
    DAISYANN 1
-   algo kd|lsh
+   algo kd
    n <entries>
    dim <coordinates>
    fingerprint <16-hex FNV-1a-64 of the database contents>
-   section params <16-hex checksum> <nlines>     (LSH only; empty for kd)
-   ...
+   section params <16-hex checksum> 0            (always empty)
    section tree <16-hex checksum> <nlines>       (kd splits/leaves, pre-order)
    ...
    page <id> <16-hex checksum> <count>           (one block per page)
@@ -609,7 +454,10 @@ let query t ~k (q : float array) : (float * int) list =
 
    The loader reads the header and tree, seeks to the trailer (fixed
    21 bytes) for the page table's offset, and never touches page blocks
-   — those are fetched and verified on demand by {!fetch_page}. *)
+   — those are fetched and verified on demand by {!fetch_page}. The
+   [algo] line and the empty [params] section are the layout of files
+   written when a second index structure existed: kd files stay
+   byte-identical, and any other [algo] is refused. *)
 
 let floats_str (v : float array) =
   String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list v))
@@ -681,76 +529,6 @@ let tree_of_lines ~dim (lines : string list) : node option =
   | Some root when !pos = Array.length arr -> Some root
   | _ -> None
 
-let params_lines (l : lsh) : string list =
-  (Printf.sprintf "projs %d" (Array.length l.projs))
-  :: (Array.to_list l.projs |> List.map (fun p -> "p " ^ floats_str p))
-  @ [ "mins " ^ floats_str l.mins; Printf.sprintf "width %h" l.width ]
-  @ (Array.to_list l.codes
-    |> List.mapi (fun i c ->
-           Printf.sprintf "code %d %s" i
-             (String.concat " " (List.map string_of_int (Array.to_list c)))))
-
-let params_of_lines ~dim ~npages (lines : string list) : lsh option =
-  let ( let* ) = Option.bind in
-  match lines with
-  | [] -> None
-  | projs_l :: rest ->
-      let strip p s =
-        let lp = String.length p in
-        if String.length s >= lp && String.equal (String.sub s 0 lp) p then
-          Some (String.sub s lp (String.length s - lp))
-        else None
-      in
-      let* np = Option.bind (strip "projs " projs_l) int_of_string_opt in
-      if np <> lsh_projs || List.length rest < np + 2 + npages then None
-      else begin
-        let proj_ls = Util.take np rest in
-        let rest = Util.drop np rest in
-        let* projs =
-          List.fold_left
-            (fun acc l ->
-              let* acc = acc in
-              let* s = strip "p " l in
-              let* v = floats_of_str ~expect:dim s in
-              Some (v :: acc))
-            (Some []) proj_ls
-        in
-        let projs = Array.of_list (List.rev projs) in
-        match rest with
-        | mins_l :: width_l :: code_ls when List.length code_ls = npages ->
-            let* mins =
-              Option.bind (strip "mins " mins_l)
-                (floats_of_str ~expect:lsh_projs)
-            in
-            let* width =
-              Option.bind (strip "width " width_l) float_of_string_opt
-            in
-            let* codes =
-              List.fold_left
-                (fun acc (i, l) ->
-                  let* acc = acc in
-                  let* s = strip "code " l in
-                  match String.split_on_char ' ' s with
-                  | id :: toks
-                    when int_of_string_opt id = Some i
-                         && List.length toks = lsh_projs ->
-                      let vals = List.filter_map int_of_string_opt toks in
-                      if List.length vals <> lsh_projs then None
-                      else Some (Array.of_list vals :: acc)
-                  | _ -> None)
-                (Some [])
-                (List.mapi (fun i l -> (i, l)) code_ls)
-            in
-            Some
-              {
-                projs;
-                mins;
-                width;
-                codes = Array.of_list (List.rev codes);
-              }
-        | _ -> None
-      end
-
 let section_str name (lines : string list) : string =
   Printf.sprintf "section %s %s %d\n%s" name
     (Util.fnv1a64 (String.concat "\n" lines))
@@ -763,24 +541,14 @@ let section_str name (lines : string list) : string =
     intact. *)
 let save (t : t) (path : string) : unit =
   let page_arrays = Array.init t.npages (fun i -> fetch_page t i) in
-  let params =
-    match t.structure with
-    | Buckets l -> params_lines l
-    | Empty | Kdtree _ -> []
-  in
   let tree =
-    match t.structure with
-    | Empty -> [ "empty" ]
-    | Kdtree root -> tree_lines root
-    | Buckets _ -> [ "buckets" ]
+    match t.root with None -> [ "empty" ] | Some root -> tree_lines root
   in
   let header =
-    Printf.sprintf "%s %d\nalgo %s\nn %d\ndim %d\nfingerprint %s\n" magic
-      version (string_of_algo t.algo) t.n t.dim t.fingerprint
+    Printf.sprintf "%s %d\nalgo kd\nn %d\ndim %d\nfingerprint %s\n" magic
+      version t.n t.dim t.fingerprint
   in
-  let prefix =
-    header ^ section_str "params" params ^ section_str "tree" tree
-  in
+  let prefix = header ^ section_str "params" [] ^ section_str "tree" tree in
   let blocks =
     Array.mapi
       (fun i es ->
@@ -861,11 +629,11 @@ let load ~path ~fingerprint:(expect_fp : string) : (t, string) result =
             then Ok (String.sub l lp (String.length l - lp))
             else fail "expected '%s ...', got %S" name l
           in
-          let* algo_s = read_field "algo" in
-          let* algo =
-            match algo_of_string algo_s with
-            | Some a -> Ok a
-            | None -> fail "unknown algo %S" algo_s
+          let* algo = read_field "algo" in
+          let* () =
+            if String.equal algo "kd" then Ok ()
+            else
+              fail "unsupported index algorithm %S (this build reads kd)" algo
           in
           let* n_s = read_field "n" in
           let* n =
@@ -911,7 +679,7 @@ let load ~path ~fingerprint:(expect_fp : string) : (t, string) result =
                 | _ -> fail "section %s: malformed count" name)
             | _ -> fail "expected 'section %s ...', got %S" name l
           in
-          let* params = read_section "params" in
+          let* _params = read_section "params" in
           let* tree = read_section "tree" in
           (* the page table lives at the end; its offset in the trailer *)
           let len = in_channel_length ic in
@@ -954,38 +722,26 @@ let load ~path ~fingerprint:(expect_fp : string) : (t, string) result =
             if total = n then Ok ()
             else fail "page table covers %d entries, header says %d" total n
           in
-          let* structure =
-            if n = 0 then Ok Empty
+          let* root =
+            if n = 0 then Ok None
             else
-              match algo with
-              | Kd -> (
-                  match tree_of_lines ~dim tree with
-                  | None -> fail "malformed tree section"
-                  | Some root ->
-                      (* every leaf must reference a real page *)
-                      let ok = ref true in
-                      let rec check = function
-                        | Leaf { page; _ } ->
-                            if page < 0 || page >= npages then ok := false
-                        | Split { left; right; _ } ->
-                            check left;
-                            check right
-                      in
-                      check root;
-                      if !ok then Ok (Kdtree root)
-                      else fail "tree references missing pages")
-              | Lsh -> (
-                  match params_of_lines ~dim ~npages params with
-                  | None -> fail "malformed params section"
-                  | Some l -> Ok (Buckets l))
+              match tree_of_lines ~dim tree with
+              | None -> fail "malformed tree section"
+              | Some root ->
+                  (* every leaf must reference a real page *)
+                  let rec ok = function
+                    | Leaf { page; _ } -> page >= 0 && page < npages
+                    | Split { left; right; _ } -> ok left && ok right
+                  in
+                  if ok root then Ok (Some root)
+                  else fail "tree references missing pages"
           in
           Ok
             {
-              algo;
               n;
               dim;
               fingerprint = fp;
-              structure;
+              root;
               npages;
               pages =
                 Paged

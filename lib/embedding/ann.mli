@@ -1,11 +1,9 @@
-(** Sub-linear nearest-neighbour indexes over performance embeddings.
+(** Sub-linear nearest-neighbour index over performance embeddings.
 
-    Two exact index structures — a bucket k-d tree with best-bin-first
-    bounded search (the low-dimensional workhorse) and an LSH-bucket
-    path (selected automatically past a dimensionality or entry-count
-    threshold) — with one contract: {!query} returns {e exactly} the
-    same top-k (distances and order) as [Embedding.nearest_by] run over
-    the indexed vectors, for every database and every query. Ties
+    An exact bucket k-d tree with best-bin-first bounded search, with
+    one contract: {!query} returns {e exactly} the same top-k (distances
+    and order) as [Embedding.nearest_by] run over the indexed vectors,
+    for every database and every query. Ties
     resolve by {!Embedding.compare_key} and then by entry index, which
     coincides with the scan's arrival order. Coordinates are finite:
     {!build} refuses anything else, and a page carrying a non-finite
@@ -14,13 +12,13 @@
     Indexes persist in a versioned [DAISYANN 1] file (FNV-1a-64
     checksums, atomic writes, content fingerprint for staleness) with a
     paged loader: {!load} never materialises the entries; leaf pages are
-    fetched and checksum-verified on demand. Fault-injection labels:
+    fetched and checksum-verified on demand. A file whose header names
+    any index structure other than [kd] is refused by {!load}.
+    Fault-injection labels:
     ["ann_build"] (per page during {!save}) and ["ann_query"] (at
     {!query} entry). *)
 
 type t
-
-type algo = Kd | Lsh
 
 exception Corrupt of string
 (** A file-backed page (or section) failed its checksum or could not be
@@ -28,14 +26,9 @@ exception Corrupt of string
     the linear scan. *)
 
 val page_cap : int
-(** Leaf capacity of the k-d tree and target LSH bucket occupancy. *)
+(** Leaf capacity of the k-d tree. *)
 
-val auto_algo : n:int -> dim:int -> algo
-(** Index structure chosen when {!build} is not given one explicitly:
-    [Lsh] when [dim > 24] or [n > 250_000], [Kd] otherwise. *)
-
-val build :
-  ?algo:algo -> fingerprint:string -> dim:int -> float array array -> t
+val build : fingerprint:string -> dim:int -> float array array -> t
 (** [build ~fingerprint ~dim vectors] — index [vectors] (entry [i] keeps
     index [i] in query results) in memory. [fingerprint] identifies the
     database contents the index was built from; {!load} refuses an index
@@ -65,7 +58,8 @@ val save : t -> string -> unit
 val load : path:string -> fingerprint:string -> (t, string) result
 (** [load ~path ~fingerprint] — open a saved index, reading only the
     header, tree and page table; pages load lazily at query time.
-    [Error reason] on a missing/unreadable file, version mismatch,
+    [Error reason] on a missing/unreadable file, version mismatch, an
+    index structure other than [kd] (the reason names it),
     header/tree/table corruption, or a stored fingerprint differing from
     [fingerprint] (the staleness rule: fingerprint of the current
     database contents). *)
@@ -73,10 +67,9 @@ val load : path:string -> fingerprint:string -> (t, string) result
 val n : t -> int
 val dim : t -> int
 val fingerprint : t -> string
-val algo : t -> algo
 
 val pages : t -> int
-(** Number of leaf pages (k-d tree) or occupied buckets (LSH). *)
+(** Number of leaf pages. *)
 
 val describe : t -> string
 (** One-line human-readable summary, e.g. ["kd, 1500 entries, 42 pages"]. *)

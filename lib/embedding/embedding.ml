@@ -135,7 +135,7 @@ let distance (a : t) (b : t) : float =
 (** Total order on [(distance, embedding)] ranking keys: by distance
     first, then lexicographically by embedding coordinates. This is the
     tie-break contract every top-k path in the toolchain (the linear scan
-    below, {!Ann}'s k-d tree and LSH buckets) agrees on: entries at equal
+    below and {!Ann}'s k-d tree) agrees on: entries at equal
     distance rank by their embedding, so the result is independent of the
     order the database happens to store them in. Only entries with
     bit-equal embeddings remain order-dependent — they are broken by

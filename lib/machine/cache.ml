@@ -10,8 +10,7 @@
     line address and a mask for the set index — no division or modulo per
     access. The fused trace replay ({!Trace_bc}) additionally uses
     {!l1_probe} / {!l1_hit_run} to retire whole all-hit loop trips in one
-    O(sites) step, and {!snapshot} / {!restore} to re-install a previously
-    simulated cache state for the cross-candidate simulation memo. *)
+    O(sites) step. *)
 
 module Diag = Daisy_support.Diag
 
@@ -35,12 +34,6 @@ let sub_stats a b =
     writebacks = a.writebacks -. b.writebacks;
   }
 
-let add_stats dst d =
-  dst.accesses <- dst.accesses +. d.accesses;
-  dst.misses <- dst.misses +. d.misses;
-  dst.evicts <- dst.evicts +. d.evicts;
-  dst.writebacks <- dst.writebacks +. d.writebacks
-
 type level = {
   sets : int;  (** always a power of two *)
   set_mask : int;  (** [sets - 1]; set index = [line land set_mask] *)
@@ -52,7 +45,7 @@ type level = {
   stats : stats;
   set_epoch : int array;
       (** per set, bumped whenever a valid line leaves that set
-          (eviction, flush, snapshot restore). A (line, slot) pair
+          (eviction or flush). A (line, slot) pair
           observed at its set's epoch [e] is still resident at [slot]
           while that epoch equals [e]: lines only leave a set through an
           eviction in that set, and filling invalid ways displaces
@@ -325,64 +318,12 @@ let l1_hit_run (t : t) ~(slots : int array) ~(writes : bool array) ~(k : int)
     if Array.unsafe_get writes j then Array.unsafe_set lv.dirty s true
   done
 
-(* ------------------------------------------------------------------ *)
-(* Snapshots (cross-candidate simulation memo)                         *)
-
-type level_image = {
-  im_tags : int array;
-  im_dirty : bool array;
-  im_stamp : int array;  (** relative to the clock at snapshot time *)
-}
-
-type snapshot = { sn_l1 : level_image; sn_l2 : level_image }
-
-let image_of_level (t : t) (lv : level) : level_image =
-  {
-    im_tags = Array.copy lv.tags;
-    im_dirty = Array.copy lv.dirty;
-    im_stamp = Array.map (fun s -> s - t.clock) lv.stamp;
-  }
-
-(** Capture tag/dirty/LRU state with stamps stored relative to the current
-    clock. LRU decisions depend only on stamp order within a set, which
-    clock translation preserves, so a snapshot restored at a different
-    clock reproduces the exact same future simulation. Statistics are not
-    captured. *)
-let snapshot (t : t) : snapshot =
-  { sn_l1 = image_of_level t t.l1; sn_l2 = image_of_level t t.l2 }
-
-let bump_all_epochs (lv : level) =
+let flush_level (lv : level) =
   for s = 0 to lv.sets - 1 do
     lv.set_epoch.(s) <- lv.set_epoch.(s) + 1
-  done
-
-let restore_level (t : t) (lv : level) (im : level_image) : unit =
-  bump_all_epochs lv;
-  Array.blit im.im_tags 0 lv.tags 0 (Array.length lv.tags);
-  Array.blit im.im_dirty 0 lv.dirty 0 (Array.length lv.dirty);
-  let n = Array.length lv.stamp in
-  for i = 0 to n - 1 do
-    lv.stamp.(i) <- im.im_stamp.(i) + t.clock
-  done
-
-(** [restore t sn ~clock_delta] — advance the clock by [clock_delta] (the
-    number of level accesses the memoized walk performed) and re-install
-    the snapshot's tag/dirty/stamp state, rebased to the new clock.
-    Statistics are untouched; the caller adds the memoized deltas. *)
-let restore (t : t) (sn : snapshot) ~(clock_delta : int) : unit =
-  t.clock <- t.clock + clock_delta;
-  restore_level t t.l1 sn.sn_l1;
-  restore_level t t.l2 sn.sn_l2
-
-let flush_level (lv : level) =
-  bump_all_epochs lv;
+  done;
   Array.fill lv.tags 0 (Array.length lv.tags) (-1);
   Array.fill lv.dirty 0 (Array.length lv.dirty) false
-
-(** Reset tag state but keep statistics. *)
-let flush (t : t) =
-  flush_level t.l1;
-  flush_level t.l2
 
 (** Reset one level's tag state (keep statistics) — used by the approx
     trace engine when a truncated loop's skipped traffic would have cycled

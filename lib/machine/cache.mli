@@ -17,9 +17,6 @@ val zero_stats : unit -> stats
 val copy_stats : stats -> stats
 val sub_stats : stats -> stats -> stats
 
-val add_stats : stats -> stats -> unit
-(** [add_stats dst d] accumulates [d] into [dst] field-wise. *)
-
 type t
 
 val create : Config.t -> t
@@ -55,12 +52,12 @@ val l1_replay_advance :
     length >= [n], [mep] initialized to -1) memoize each touch's L1 slot,
     validated by line equality plus the line's per-set eviction epoch — a
     valid memo entry proves residency, so the access charges the hit
-    without a tag scan. Set epochs bump on every eviction, flush and
-    snapshot restore, which is exactly the set of events that can
-    displace a valid line. Touches with [memoable.(i)] false bypass the
-    memo entirely (neither consulted nor re-armed) — the caller asserts
-    their line changes every iteration (|delta| >= line size), so a memo
-    entry armed last iteration can never match. *)
+    without a tag scan. Set epochs bump on every eviction and flush,
+    which is exactly the set of events that can displace a valid line.
+    Touches with [memoable.(i)] false bypass the memo entirely (neither
+    consulted nor re-armed) — the caller asserts their line changes every
+    iteration (|delta| >= line size), so a memo entry armed last
+    iteration can never match. *)
 
 val l1_probe : t -> lines:int array -> n:int -> slots:int array -> bool
 (** Pure residency probe: true iff every [lines.(0..n-1)] currently hits
@@ -85,22 +82,6 @@ val l1_hit_run : t -> slots:int array -> writes:bool array -> k:int -> n:int -> 
     bit-identical to n*k generic hits (see the implementation for the
     stamp/clock argument). Caller must have proved residency of all [k]
     lines with {!l1_probe} immediately before. *)
-
-type snapshot
-(** Tag/dirty/LRU state with stamps relative to the capture-time clock;
-    statistics are not captured. *)
-
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> clock_delta:int -> unit
-(** Advance the clock by [clock_delta] and re-install the snapshot,
-    stamps rebased to the new clock. LRU behavior depends only on stamp
-    order, which translation preserves, so future simulation from a
-    restored state is bit-identical to having replayed the memoized
-    walk. Statistics are untouched. *)
-
-val flush : t -> unit
-(** Reset tag state, keep statistics. *)
 
 val flush_l1 : t -> unit
 val flush_l2 : t -> unit

@@ -105,12 +105,12 @@ let string_of_engine = function
     trace and cost a program. [budget] bounds the walked loop iterations;
     {!Daisy_support.Budget.Exhausted} escapes when it runs out. *)
 let evaluate (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
-    ?(threads = 1) ?(sample_outer = 0) ?(engine = Bytecode) ?budget ?memo () :
+    ?(threads = 1) ?(sample_outer = 0) ?(engine = Bytecode) ?budget () :
     report =
   let counters =
     match engine with
     | Tree -> Trace.run config p ~sizes ~sample_outer ?budget ()
-    | Bytecode -> Trace_bc.run config p ~sizes ~sample_outer ?budget ?memo ()
+    | Bytecode -> Trace_bc.run config p ~sizes ~sample_outer ?budget ()
     | Approx a ->
         Trace_bc.run config p ~sizes ~sample_outer ~approx:a ?budget ()
   in
@@ -167,13 +167,13 @@ let warn_fallback engine exn =
     tree walker with a fresh budget. *)
 let evaluate_guarded (config : Config.t) (p : Ir.program)
     ~(sizes : (string * int) list) ?threads ?sample_outer
-    ?(engine = Bytecode) ?steps ?memo () : report =
+    ?(engine = Bytecode) ?steps () : report =
   let budget () =
     match steps with Some n -> Budget.make ~steps:n | None -> Budget.unlimited ()
   in
   let attempt eng =
     evaluate config p ~sizes ?threads ?sample_outer ~engine:eng
-      ~budget:(budget ()) ?memo ()
+      ~budget:(budget ()) ()
   in
   match engine with
   | Tree -> attempt Tree
@@ -183,15 +183,6 @@ let evaluate_guarded (config : Config.t) (p : Ir.program)
       | e ->
           warn_fallback engine e;
           attempt Tree)
-
-(* ------------------------------------------------------------------ *)
-(* Cross-candidate simulation memo (re-exported from the bytecode
-   engine so schedulers depend on [Cost] only)                          *)
-
-type sim_memo = Trace_bc.memo
-
-let sim_memo_create = Trace_bc.memo_create
-let sim_memo_stats = Trace_bc.memo_stats
 
 (** Simulated milliseconds — the unit every experiment reports. *)
 let milliseconds (r : report) = r.seconds *. 1e3

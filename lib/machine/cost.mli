@@ -37,18 +37,6 @@ val engine_of_string : string -> engine
 
 val string_of_engine : engine -> string
 
-type sim_memo = Trace_bc.memo
-(** Cross-candidate simulation memo: content-addressed
-    (trace-section fingerprint, [sample_outer], incoming cache-state
-    class) -> (counters, raw stat deltas, outgoing cache state). Shared
-    safely across domains; only consulted by the [Bytecode] engine, and
-    only when its config matches the evaluation's. *)
-
-val sim_memo_create : ?cap:int -> Config.t -> sim_memo
-
-val sim_memo_stats : sim_memo -> int * int
-(** (hits, misses) — instrumented like the scheduler's fitness cache. *)
-
 val evaluate :
   Config.t ->
   Daisy_loopir.Ir.program ->
@@ -57,7 +45,6 @@ val evaluate :
   ?sample_outer:int ->
   ?engine:engine ->
   ?budget:Daisy_support.Budget.t ->
-  ?memo:sim_memo ->
   unit ->
   report
 (** Trace and cost a program ([sample_outer] > 0 samples the outermost loop
@@ -73,7 +60,6 @@ val evaluate_guarded :
   ?sample_outer:int ->
   ?engine:engine ->
   ?steps:int ->
-  ?memo:sim_memo ->
   unit ->
   report
 (** The resilient entry point the scheduler uses. Each attempt gets a

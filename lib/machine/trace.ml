@@ -45,15 +45,6 @@ let zero_counters () =
     l1 = Cache.zero_stats (); l2 = Cache.zero_stats ();
   }
 
-(** Deep copy (fresh cache stat records) — the simulation memo hands out
-    private copies so no two evaluations share mutable counters. *)
-let copy_counters (c : counters) : counters =
-  {
-    c with
-    l1 = Cache.copy_stats c.l1;
-    l2 = Cache.copy_stats c.l2;
-  }
-
 let scale_counters (c : counters) (f : float) =
   c.flops <- c.flops *. f;
   c.vec_flops <- c.vec_flops *. f;

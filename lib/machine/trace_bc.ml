@@ -18,7 +18,8 @@
     differentially at jobs 1 and 4.
 
     {b Batched stream replay} (the fused fast path, on by default; off via
-    [~batch:false] or [DAISY_TRACE_FUSE=0]): when an innermost loop body
+    [~batch:false], the unfused reference the differential suites and the
+    trace bench compare against): when an innermost loop body
     is a straight-line run of computations ([w_body]) whose sites are all
     affine with per-iteration byte deltas that divide the L1 line size,
     the replay precomputes per-site line addresses once per loop entry and
@@ -34,15 +35,6 @@
     and whenever the probe declines — the generic per-iteration path runs,
     so the fast path never changes a counter bit.
 
-    {b Simulation memo} (cross-candidate, opt-in via [?memo]): trace
-    sections are content-addressed by (canonical fingerprint, [sample_outer],
-    incoming cache-state class); a hit replays the memoized outcome —
-    counters copy, raw cache-stat deltas, budget ticks, clock advance and
-    the outgoing tag/dirty/LRU state via {!Cache.restore} — without
-    walking. LRU decisions depend only on stamp order within a set, which
-    clock translation preserves, so the restored state is bit-identical to
-    having re-walked the section.
-
     {b Approx mode} ([?approx], the [Cost.Approx] engine) walks the plain
     dispatch loop with line stepping (a site whose byte delta per
     iteration of its own occurrence's innermost loop divides the cache
@@ -50,8 +42,8 @@
     last-line memo) and adaptive block sampling below depth 0 (block
     snapshots at the back-edge after the spill charges; once two
     consecutive blocks agree within [tol] the rest of the trip is
-    extrapolated). The batched replay and the memo are off; see
-    [docs/performance.md] for the accuracy contract.
+    extrapolated). The batched replay is off; see [docs/performance.md]
+    for the accuracy contract.
 
     Fault points: ["bc_compile"] fires inside lowering, ["bc_run"] before
     the walk, ["trace_fuse"] before a batched walk — [Cost.evaluate_guarded]
@@ -260,7 +252,7 @@ type bplan = {
           lines every iteration and skip the memo entirely *)
   p_slots : int array;  (** probe scratch, length [p_touch] *)
   p_striding : int array;  (** indices into [p_flat] with [b_dd <> 0] *)
-  (* caller-owned per-touch slot memo for {!Cache.l1_replay_iter} *)
+  (* caller-owned per-touch slot memo for {!Cache.l1_replay_advance} *)
   p_mline : int array;
   p_mslot : int array;
   p_mep : int array;  (** -1 = not yet armed *)
@@ -303,16 +295,11 @@ type bstate = Bunknown | Bineligible | Bplan of bplan
 let dyadic_bound = 1.099511627776e12 (* 2^40 *)
 let is_dyadic x = Float.is_integer (x *. 4096.0) && Float.abs x < dyadic_bound
 
-let batch_default =
-  match Sys.getenv_opt "DAISY_TRACE_FUSE" with Some "0" -> false | _ -> true
-
-
-(** Walk one trace section; returns its counters. [approx] switches on
-    line stepping and adaptive block sampling and switches off the
-    batched replay. *)
-let trace_tnode ?(batch = batch_default) ?approx (wctx : Trace.walk_ctx)
-    (bc : B.t) (tn : B.tnode) : Trace.counters =
-  let batch = batch && approx = None in
+(** Walk one trace section; returns its counters. [batch] turns on the
+    fused replay; [approx] switches on line stepping and adaptive block
+    sampling, and the caller must then pass [~batch:false]. *)
+let trace_tnode ~batch ?approx (wctx : Trace.walk_ctx) (bc : B.t)
+    (tn : B.tnode) : Trace.counters =
   let config = wctx.Trace.config in
   let cache = wctx.Trace.cache in
   let budget = wctx.Trace.budget in
@@ -1148,72 +1135,15 @@ let trace_tnode ?(batch = batch_default) ?approx (wctx : Trace.walk_ctx)
   end;
   counters
 
-(* ------------------------------------------------------------------ *)
-(* Cross-candidate simulation memo                                      *)
-
-type memo_key = {
-  mk_fp : string;
-      (** canonical fingerprint: [Marshal] (no sharing) of the trace
-          section plus the artifact name table it indexes *)
-  mk_sample : int;
-  mk_state : int;  (** incoming cache-state class: -1 = cold, else the
-                       id of the entry whose outgoing state we're in *)
-}
-
-type memo_entry = {
-  me_id : int;
-  me_counters : Trace.counters;  (** final (scaled) counters, private *)
-  me_l1 : Cache.stats;  (** raw (unscaled) cache-stat deltas *)
-  me_l2 : Cache.stats;
-  me_ticks : int;  (** budget steps the walk consumed *)
-  me_clock : int;  (** LRU clock advance *)
-  me_snap : Cache.snapshot;  (** outgoing tag/dirty/LRU state *)
-}
-
-(** Cross-candidate simulation memo: safe to share across domains (the
-    table is mutex-guarded; hits only read immutable entries). Keys are
-    exact — structural fingerprints, never lossy hashes — so a hit can
-    only be a re-simulation of an identical section from an identical
-    state class under an identical cache config. *)
-type memo = {
-  mm_config : Config.t;
-  mm_tbl : (memo_key, memo_entry) Hashtbl.t;
-  mm_lock : Mutex.t;
-  mutable mm_next : int;
-  mutable mm_hits : int;
-  mutable mm_misses : int;
-  mm_cap : int;
-}
-
-let memo_create ?(cap = 4096) (config : Config.t) : memo =
-  {
-    mm_config = config;
-    mm_tbl = Hashtbl.create 256;
-    mm_lock = Mutex.create ();
-    mm_next = 0;
-    mm_hits = 0;
-    mm_misses = 0;
-    mm_cap = max 1 cap;
-  }
-
-let memo_stats (m : memo) : int * int =
-  Mutex.protect m.mm_lock (fun () -> (m.mm_hits, m.mm_misses))
-
-let fingerprint (bc : B.t) (tn : B.tnode) : string =
-  Marshal.to_string (tn, bc.B.names) [ Marshal.No_sharing ]
-
-(** [run config p ~sizes ?sample_outer ?budget ?batch ?memo ?approx ()] —
+(** [run config p ~sizes ?sample_outer ?budget ?batch ?approx ()] —
     lower once, walk every trace section; per-top-level-node counters in
     order, exactly like [Trace.run]. [batch] enables the fused batched
-    replay (default on; [DAISY_TRACE_FUSE=0] flips the default); [memo]
-    shares simulation results across calls with an identical config.
-    [approx] turns on line stepping and adaptive sampling, and turns off
-    both the batched replay and the memo. *)
+    replay (default on). [approx] turns on line stepping and adaptive
+    sampling, and turns off the batched replay. *)
 let run (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
-    ?(sample_outer = 0) ?(budget = Budget.unlimited ())
-    ?(batch = batch_default) ?memo ?approx () : Trace.counters list =
+    ?(sample_outer = 0) ?(budget = Budget.unlimited ()) ?(batch = true)
+    ?approx () : Trace.counters list =
   let batch = batch && approx = None in
-  let memo = if approx = None then memo else None in
   Fault.inject "bc_run";
   if batch then Fault.inject "trace_fuse";
   let param_env =
@@ -1225,81 +1155,5 @@ let run (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
   let wctx =
     { Trace.config; cache; layout; param_env; sample_outer; budget }
   in
-  let memo =
-    match memo with Some m when m.mm_config = config -> memo | _ -> None
-  in
-  (* incoming state class threads through the tnodes of one run: a fresh
-     cache is Cold (-1); each hit/store moves to that entry's outgoing
-     state; -2 = unclassified (full table), memoization stops there *)
-  let state = ref (-1) in
-  let eval (tnl : B.tnode) : Trace.counters =
-    match memo with
-    | None -> trace_tnode ~batch ?approx wctx bc tnl
-    | Some m ->
-        if !state = -2 then trace_tnode ~batch wctx bc tnl
-        else begin
-          let key =
-            { mk_fp = fingerprint bc tnl; mk_sample = sample_outer;
-              mk_state = !state }
-          in
-          let hit =
-            Mutex.protect m.mm_lock (fun () ->
-                match Hashtbl.find_opt m.mm_tbl key with
-                | Some e ->
-                    m.mm_hits <- m.mm_hits + 1;
-                    Some e
-                | None ->
-                    m.mm_misses <- m.mm_misses + 1;
-                    None)
-          in
-          match hit with
-          | Some e ->
-              (* replay the memoized outcome: budget first (Exhausted at
-                 the same fuel the walk would have died at), then clock,
-                 state and raw stat deltas *)
-              Budget.spend budget e.me_ticks;
-              Util.check_deadline ();
-              Cache.restore cache e.me_snap ~clock_delta:e.me_clock;
-              Cache.add_stats (Cache.l1_stats cache) e.me_l1;
-              Cache.add_stats (Cache.l2_stats cache) e.me_l2;
-              state := e.me_id;
-              Trace.copy_counters e.me_counters
-          | None ->
-              let l1b = Cache.copy_stats (Cache.l1_stats cache) in
-              let l2b = Cache.copy_stats (Cache.l2_stats cache) in
-              let clock_b = Cache.clock cache in
-              let fuel_b = Budget.remaining budget in
-              let c = trace_tnode ~batch wctx bc tnl in
-              let entry =
-                {
-                  me_id = 0;
-                  me_counters = Trace.copy_counters c;
-                  me_l1 = Cache.sub_stats (Cache.l1_stats cache) l1b;
-                  me_l2 = Cache.sub_stats (Cache.l2_stats cache) l2b;
-                  me_ticks = fuel_b - Budget.remaining budget;
-                  me_clock = Cache.clock cache - clock_b;
-                  me_snap = Cache.snapshot cache;
-                }
-              in
-              let id =
-                Mutex.protect m.mm_lock (fun () ->
-                    match Hashtbl.find_opt m.mm_tbl key with
-                    | Some e ->
-                        (* racing domain stored it first: deterministic
-                           walks from the same key are identical, adopt *)
-                        e.me_id
-                    | None ->
-                        if Hashtbl.length m.mm_tbl >= m.mm_cap then -2
-                        else begin
-                          let id = m.mm_next in
-                          m.mm_next <- id + 1;
-                          Hashtbl.replace m.mm_tbl key
-                            { entry with me_id = id };
-                          id
-                        end)
-              in
-              state := id;
-              c
-        end
-  in
-  Array.to_list (Array.map eval bc.B.tnodes)
+  Array.to_list
+    (Array.map (trace_tnode ~batch ?approx wctx bc) bc.B.tnodes)

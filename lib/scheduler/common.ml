@@ -17,36 +17,18 @@ type ctx = {
   eval_deadline : float option;
       (** per-candidate wall-clock deadline in seconds for supervised
           search evaluation; [None] = unlimited *)
-  sim_memo : Cost.sim_memo option;
-      (** cross-candidate simulation memo shared by every evaluation
-          under this context (and safe across domains); [None] disables
-          memoization *)
 }
-
-(* The memo is exact (content-addressed trace sections), so it defaults
-   on; DAISY_SIM_MEMO=0 turns it off for differential/debug runs. *)
-let sim_memo_default () =
-  match Sys.getenv_opt "DAISY_SIM_MEMO" with Some "0" -> false | _ -> true
 
 let make_ctx ?(config = Config.default) ?(threads = config.Config.cores)
     ?(sample_outer = 12) ?(engine = Cost.Bytecode) ?eval_steps ?eval_deadline
-    ?sim_memo ~sizes () =
-  let sim_memo =
-    match sim_memo with
-    | Some m -> Some m
-    | None -> if sim_memo_default () then Some (Cost.sim_memo_create config)
-              else None
-  in
-  { config; sizes; threads; sample_outer; engine; eval_steps; eval_deadline;
-    sim_memo }
+    ~sizes () =
+  { config; sizes; threads; sample_outer; engine; eval_steps; eval_deadline }
 
 (** Derive a per-request evaluation context from a long-lived base
     context — the serving layer's entry point. The derived context
-    shares the machine config, thread count, sampling bound and the
-    cross-candidate simulation memo (content-addressed, so sharing it
-    across requests is always safe), while the evaluation knobs — trace
-    engine, step fuel, wall deadline, problem sizes — are overridden per
-    request. *)
+    shares the machine config, thread count and sampling bound, while
+    the evaluation knobs — trace engine, step fuel, wall deadline,
+    problem sizes — are overridden per request. *)
 let request_ctx (base : ctx) ?engine ?eval_steps ?eval_deadline ?sizes () :
     ctx =
   {
@@ -69,18 +51,18 @@ let runtime_ms (ctx : ctx) (p : Ir.program) : float =
   Cost.milliseconds
     (Cost.evaluate_guarded ctx.config p ~sizes:ctx.sizes ~threads:ctx.threads
        ~sample_outer:ctx.sample_outer ~engine:ctx.engine ?steps:ctx.eval_steps
-       ?memo:ctx.sim_memo ())
+       ())
 
 (** Full report (for L1 statistics, FLOP/s). *)
 let report (ctx : ctx) (p : Ir.program) : Cost.report =
   Cost.evaluate_guarded ctx.config p ~sizes:ctx.sizes ~threads:ctx.threads
     ~sample_outer:ctx.sample_outer ~engine:ctx.engine ?steps:ctx.eval_steps
-    ?memo:ctx.sim_memo ()
+    ()
 
-(** Simulation-memo statistics of a context: [(hits, misses)], or [None]
-    when memoization is off. *)
-let sim_memo_stats (ctx : ctx) : (int * int) option =
-  Option.map Cost.sim_memo_stats ctx.sim_memo
+(* Kept for [perfbench/bench.ml], its only caller, which reports a memo
+   hit share per read; there is no simulation memo, so the answer is
+   always [None]. *)
+let sim_memo_stats (_ : ctx) : (int * int) option = None
 
 (** A program containing a single top-level node, sharing the array
     declarations of [p] — used to evaluate candidate schedules per nest. *)

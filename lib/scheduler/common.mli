@@ -13,10 +13,6 @@ type ctx = {
       (** per-candidate wall-clock deadline in seconds, enforced
           cooperatively by supervised search evaluation
           ([Daisy_support.Pool.map_supervised]); [None] = unlimited *)
-  sim_memo : Daisy_machine.Cost.sim_memo option;
-      (** cross-candidate simulation memo shared by every evaluation
-          under this context (safe across domains); [None] disables
-          memoization *)
 }
 
 val make_ctx :
@@ -26,13 +22,9 @@ val make_ctx :
   ?engine:Daisy_machine.Cost.engine ->
   ?eval_steps:int ->
   ?eval_deadline:float ->
-  ?sim_memo:Daisy_machine.Cost.sim_memo ->
   sizes:(string * int) list ->
   unit ->
   ctx
-(** [sim_memo] defaults to a fresh memo over [config]
-    (exact memoization is always safe); set [DAISY_SIM_MEMO=0] to
-    default it off instead. *)
 
 val request_ctx :
   ctx ->
@@ -43,12 +35,13 @@ val request_ctx :
   unit ->
   ctx
 (** Derive a request-scoped context from a long-lived base context (the
-    serving layer's entry point): shares config, threads, sampling bound
-    and the simulation memo; overrides engine/fuel/deadline/sizes per
-    request. *)
+    serving layer's entry point): shares config, threads and sampling
+    bound; overrides engine/fuel/deadline/sizes per request. *)
 
 val sim_memo_stats : ctx -> (int * int) option
-(** [(hits, misses)] of the context's simulation memo, [None] if off. *)
+(** Always [None]: there is no simulation memo. Kept only because
+    [perfbench/bench.ml] calls it, like [Trace_compile.default_approx];
+    it goes with the next change to perfbench. *)
 
 val runtime_ms : ctx -> Daisy_loopir.Ir.program -> float
 (** Simulated runtime in milliseconds, via

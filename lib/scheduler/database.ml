@@ -421,11 +421,11 @@ let detach_index db = db.index <- None
 let index_description db =
   Option.map (fun (ann, _) -> Ann.describe ann) db.index
 
-let build_index ?algo (db : t) : unit =
+let build_index (db : t) : unit =
   read_only db "build_index";
   let arr = Array.of_list db.entries in
   let ann =
-    Ann.build ?algo ~fingerprint:(fingerprint db) ~dim:Embedding.dim
+    Ann.build ~fingerprint:(fingerprint db) ~dim:Embedding.dim
       (Array.map (fun e -> e.embedding) arr)
   in
   db.index <- Some (ann, arr)
@@ -457,8 +457,8 @@ let load_index (db : t) (path : string) : (string, string) result =
 (** [rebuild_index db path] — build a fresh index over the current
     contents, persist it atomically at [path], attach it, and return its
     description. *)
-let rebuild_index ?algo (db : t) (path : string) : string =
-  build_index ?algo db;
+let rebuild_index (db : t) (path : string) : string =
+  build_index db;
   match db.index with
   | Some (ann, _) ->
       Ann.save ann path;

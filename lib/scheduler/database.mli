@@ -92,9 +92,10 @@ val bounds : t -> (float array * float array) option
     empty; memoized like {!fingerprint} (shared arrays: do not mutate).
     Raises [Invalid_argument] on a backed handle. *)
 
-val build_index : ?algo:Daisy_embedding.Ann.algo -> t -> unit
-(** Build and attach an in-memory ANN index over the current entries.
-    The index is a pure accelerator: {!query} results do not change.
+val build_index : t -> unit
+(** Build and attach an in-memory ANN index (the bucket k-d tree of
+    {!Daisy_embedding.Ann}) over the current entries. The index is a
+    pure accelerator: {!query} results do not change.
     Any later {!add}/{!merge} detaches it. *)
 
 val save_index : t -> string -> unit
@@ -105,11 +106,13 @@ val load_index : t -> string -> (string, string) result
 (** [load_index db path] — attach a persisted index (paged: entry
     vectors load lazily per query). [Ok description] on success;
     [Error reason] when the file is missing, corrupt, a different
-    version, or stale ({!fingerprint} mismatch). A page corruption
+    version, stale ({!fingerprint} mismatch), or names an index
+    structure other than the k-d tree; the queries then scan, and
+    {!rebuild_index} replaces the file. A page corruption
     discovered later, mid-query, is also safe: the query falls back to
     the linear scan with one warning (see {!index_fallbacks}). *)
 
-val rebuild_index : ?algo:Daisy_embedding.Ann.algo -> t -> string -> string
+val rebuild_index : t -> string -> string
 (** Build a fresh index, persist it at the given path, attach it, and
     return its description. *)
 

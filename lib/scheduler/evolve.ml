@@ -75,10 +75,9 @@ let cache_store cache key v =
   Mutex.unlock cache.lock
 
 (** [(hits, misses)] read atomically — a consistent pair even while
-    workers are scoring. The fitness cache is the first memoization
-    level; below it, every cache-miss evaluation reaches the
-    cross-candidate simulation memo through [Common.nest_runtime_ms]
-    (see {!Common.sim_memo_stats} for its counters). *)
+    workers are scoring. The fitness cache is the only cross-candidate
+    memoization: every cache miss re-walks the trace through
+    [Common.nest_runtime_ms]. *)
 let cache_stats cache =
   Mutex.lock cache.lock;
   let r = (cache.hits, cache.misses) in

@@ -17,10 +17,8 @@ val cache_misses : fitness_cache -> int
     candidates hit even when built with fresh loop ids. *)
 
 val cache_stats : fitness_cache -> int * int
-(** [(hits, misses)] read as one consistent pair. This is the top
-    memoization level; cache misses that re-walk the trace still reach
-    the cross-candidate {e simulation memo} through the context (see
-    {!Common.sim_memo_stats}). *)
+(** [(hits, misses)] read as one consistent pair. This is the only
+    cross-candidate memoization: a miss re-walks the trace. *)
 
 val eval_cached :
   fitness_cache ->

@@ -1,18 +1,20 @@
 (** Differential and property tests for the ANN index (docs/performance.md,
-    "ANN transfer tuning"). The contract under test: the k-d tree and the
-    LSH-bucket paths return {e exactly} the same top-k — distances and
-    order, ties included — as the [Embedding.nearest_by] linear scan, on
-    every database; persistence round-trips bit-identically; corruption
-    degrades to the scan with one warning, never a crash. *)
+    "ANN transfer tuning"). The contract under test: the k-d tree returns
+    {e exactly} the same top-k — distances and order, ties included — as
+    the [Embedding.nearest_by] linear scan, on every database;
+    persistence round-trips bit-identically; corruption degrades to the
+    scan with one warning, never a crash. *)
 
 module Ir = Daisy_loopir.Ir
 module Ann = Daisy_embedding.Ann
 module Embedding = Daisy_embedding.Embedding
+module Diag = Daisy_support.Diag
 module Fault = Daisy_support.Fault
 module Pool = Daisy_support.Pool
 module Rng = Daisy_support.Rng
 module Util = Daisy_support.Util
 module S = Daisy_scheduler
+module Store = Daisy_serve.Store
 
 let lower = Daisy_lang.Lower.program_of_string ~source:"test.c"
 
@@ -104,27 +106,20 @@ let test_nearest_by_stability () =
     (Util.permutations entries)
 
 (* ------------------------------------------------------------------ *)
-(* The differential property: both index structures == the scan, on ~200
-   random databases varying n, dim, duplicates and tied distances *)
+(* The differential property: the k-d tree == the scan, on ~200 random
+   databases varying n, dim, duplicates and tied distances *)
 
 let check_db ~name (vecs : float array array) ~dim (queries : float array list)
     (ks : int list) =
   let n = Array.length vecs in
-  let kd = Ann.build ~algo:Ann.Kd ~fingerprint:"fp" ~dim vecs in
-  let lsh = Ann.build ~algo:Ann.Lsh ~fingerprint:"fp" ~dim vecs in
+  let kd = Ann.build ~fingerprint:"fp" ~dim vecs in
   List.iteri
     (fun qi q ->
       List.iter
         (fun k ->
-          let expect = scan_topk vecs ~k q in
           Alcotest.check result
-            (Printf.sprintf "%s n=%d dim=%d q=%d k=%d kd" name n dim qi k)
-            expect
-            (Ann.query kd ~k q);
-          Alcotest.check result
-            (Printf.sprintf "%s n=%d dim=%d q=%d k=%d lsh" name n dim qi k)
-            expect
-            (Ann.query lsh ~k q))
+            (Printf.sprintf "%s n=%d dim=%d q=%d k=%d" name n dim qi k)
+            (scan_topk vecs ~k q) (Ann.query kd ~k q))
         ks)
     queries
 
@@ -155,7 +150,7 @@ let test_differential_parallel () =
     List.init 40 (fun _ ->
         Array.init dim (fun _ -> float_of_int (Rng.int rng 4)))
   in
-  let kd = Ann.build ~algo:Ann.Kd ~fingerprint:"fp" ~dim vecs in
+  let kd = Ann.build ~fingerprint:"fp" ~dim vecs in
   let path = Filename.temp_file "daisyann" ".ann" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -197,34 +192,30 @@ let test_save_load_roundtrip () =
     List.init 10 (fun _ ->
         Array.init dim (fun _ -> float_of_int (Rng.int rng 4)))
   in
-  List.iter
-    (fun algo ->
-      let t = Ann.build ~algo ~fingerprint:"fp-1" ~dim vecs in
-      let path = Filename.temp_file "daisyann" ".ann" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          Ann.save t path;
-          (match Ann.load ~path ~fingerprint:"fp-1" with
-          | Error m -> Alcotest.fail m
-          | Ok loaded ->
-              Alcotest.(check int) "n" (Ann.n t) (Ann.n loaded);
-              Alcotest.(check int) "pages" (Ann.pages t) (Ann.pages loaded);
-              List.iter
-                (fun q ->
-                  Alcotest.check result "loaded == built"
-                    (Ann.query t ~k:7 q)
-                    (Ann.query loaded ~k:7 q))
-                queries);
-          (* staleness rule: a different database fingerprint refuses *)
-          (match Ann.load ~path ~fingerprint:"fp-2" with
-          | Ok _ -> Alcotest.fail "stale index accepted"
-          | Error m ->
-              Alcotest.(check bool)
-                (Printf.sprintf "stale reason mentions staleness: %s" m)
-                true
-                (contains_sub ~sub:"stale" m))))
-    [ Ann.Kd; Ann.Lsh ];
+  let t = Ann.build ~fingerprint:"fp-1" ~dim vecs in
+  let path = Filename.temp_file "daisyann" ".ann" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Ann.save t path;
+      (match Ann.load ~path ~fingerprint:"fp-1" with
+      | Error m -> Alcotest.fail m
+      | Ok loaded ->
+          Alcotest.(check int) "n" (Ann.n t) (Ann.n loaded);
+          Alcotest.(check int) "pages" (Ann.pages t) (Ann.pages loaded);
+          List.iter
+            (fun q ->
+              Alcotest.check result "loaded == built" (Ann.query t ~k:7 q)
+                (Ann.query loaded ~k:7 q))
+            queries);
+      (* staleness rule: a different database fingerprint refuses *)
+      match Ann.load ~path ~fingerprint:"fp-2" with
+      | Ok _ -> Alcotest.fail "stale index accepted"
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "stale reason mentions staleness: %s" m)
+            true
+            (contains_sub ~sub:"stale" m));
   match Ann.load ~path:"/nonexistent/daisy.ann" ~fingerprint:"x" with
   | Ok _ -> Alcotest.fail "loaded a missing file"
   | Error _ -> ()
@@ -247,20 +238,17 @@ let check_query_paths ~name db ~k q expect_n =
   S.Database.detach_index db;
   let scan = S.Database.query_embedding db ~k q in
   Alcotest.(check int) (name ^ ": scan count") expect_n (List.length scan);
-  (* index paths: identical, entry for entry *)
-  List.iter
-    (fun algo ->
-      S.Database.build_index ~algo db;
-      let indexed = S.Database.query_embedding db ~k q in
-      Alcotest.(check int)
-        (name ^ ": index count")
-        (List.length scan) (List.length indexed);
-      List.iter2
-        (fun (d1, (e1 : S.Database.entry)) (d2, (e2 : S.Database.entry)) ->
-          Alcotest.(check (float 0.0)) (name ^ ": distance") d1 d2;
-          Alcotest.(check string) (name ^ ": entry") e1.source e2.source)
-        scan indexed)
-    [ Ann.Kd; Ann.Lsh ];
+  (* index path: identical, entry for entry *)
+  S.Database.build_index db;
+  let indexed = S.Database.query_embedding db ~k q in
+  Alcotest.(check int)
+    (name ^ ": index count")
+    (List.length scan) (List.length indexed);
+  List.iter2
+    (fun (d1, (e1 : S.Database.entry)) (d2, (e2 : S.Database.entry)) ->
+      Alcotest.(check (float 0.0)) (name ^ ": distance") d1 d2;
+      Alcotest.(check string) (name ^ ": entry") e1.source e2.source)
+    scan indexed;
   S.Database.detach_index db
 
 let test_database_edges () =
@@ -517,6 +505,73 @@ let test_truncated_index_refused () =
             "scan still works" 5
             (List.length (S.Database.query_embedding db ~k:5 q)))
 
+(* A sidecar whose header names [algo lsh] — the layout of an index built
+   when a second structure existed — is refused by every reader with a
+   typed error naming the algorithm; queries scan, and a rebuild
+   replaces the file with a k-d index. *)
+let test_leftover_lsh_sidecar () =
+  let rng = Rng.of_string "ann-lsh-sidecar" in
+  let db = S.Database.of_entries (List.init 120 (mk_entry rng)) in
+  let q = Array.init Embedding.dim (fun _ -> float_of_int (Rng.int rng 3)) in
+  let dbpath = Filename.temp_file "daisydb" ".db" in
+  let path = dbpath ^ ".ann" in
+  let project = List.map (fun (d, (e : S.Database.entry)) -> (d, e.source)) in
+  let answers = Alcotest.(list (pair (float 0.0) string)) in
+  let scan = project (S.Database.query_embedding db ~k:5 q) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ dbpath; path ])
+    (fun () ->
+      S.Database.save db dbpath;
+      ignore (S.Database.rebuild_index db path);
+      S.Database.detach_index db;
+      Alcotest.(check bool) "the k-d sidecar serves" true
+        ((Store.snapshot (Store.create ~path:dbpath ())).Store.index <> None);
+      let kd = read_file path in
+      let at = Option.get (find_sub ~sub:"\nalgo kd\n" kd) in
+      write_file path
+        (String.sub kd 0 at ^ "\nalgo lsh\n"
+        ^ String.sub kd (at + 9) (String.length kd - at - 9));
+      let fingerprint = S.Database.fingerprint db in
+      (match Ann.load ~path ~fingerprint with
+      | Ok _ -> Alcotest.fail "an lsh index loaded"
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "reason names the algorithm: %s" m)
+            true
+            (contains_sub ~sub:"\"lsh\"" m));
+      S.Database.reset_index_fallbacks ();
+      (match S.Database.load_index db path with
+      | Ok _ -> Alcotest.fail "an lsh sidecar attached"
+      | Error _ -> ());
+      Alcotest.(check bool) "no index attached" false (S.Database.has_index db);
+      Alcotest.check answers "queries scan" scan
+        (project (S.Database.query_embedding db ~k:5 q));
+      Alcotest.(check int)
+        "no index fallbacks" 0
+        (S.Database.index_fallbacks ());
+      (* the daemon's monolithic store serves the scan, warning once *)
+      Diag.reset_warn ~label:"serve_ann_load" ();
+      let store = Store.create ~path:dbpath () in
+      Alcotest.(check bool) "store serves without the sidecar" true
+        ((Store.snapshot store).Store.index = None);
+      Alcotest.(check int) "one sidecar warning" 1
+        (Diag.warn_calls "serve_ann_load");
+      Alcotest.check answers "store answers = scan" scan
+        (project (S.Database.query_embedding (Store.db store) ~k:5 q));
+      (* a rebuild replaces the file with a k-d index that loads *)
+      ignore (S.Database.rebuild_index db path);
+      S.Database.detach_index db;
+      (match S.Database.load_index db path with
+      | Ok desc ->
+          Alcotest.(check bool) ("rebuilt index is kd: " ^ desc) true
+            (String.starts_with ~prefix:"kd," desc)
+      | Error m -> Alcotest.fail ("rebuilt index refused: " ^ m));
+      Alcotest.check answers "rebuilt index answers = scan" scan
+        (project (S.Database.query_embedding db ~k:5 q)))
+
 let test_ann_query_fault_falls_back () =
   with_faults (fun () ->
       let rng = Rng.of_string "ann-qfault" in
@@ -538,7 +593,7 @@ let suite =
   [
     Alcotest.test_case "nearest_by: permutation-stable ties" `Quick
       test_nearest_by_stability;
-    Alcotest.test_case "differential: kd & lsh == scan (200 dbs)" `Slow
+    Alcotest.test_case "differential: kd == scan (200 dbs)" `Slow
       test_differential;
     Alcotest.test_case "differential: parallel, mem & paged" `Quick
       test_differential_parallel;
@@ -560,4 +615,6 @@ let suite =
       test_truncated_index_refused;
     Alcotest.test_case "ann_query fault falls back" `Quick
       test_ann_query_fault_falls_back;
+    Alcotest.test_case "leftover lsh sidecar: scan, then rebuild" `Quick
+      test_leftover_lsh_sidecar;
   ]

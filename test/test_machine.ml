@@ -197,38 +197,6 @@ let test_config_validate () =
     (List.exists (fun m -> String.length m > 0 && String.index_opt m '3' <> None)
        msgs)
 
-let test_cache_snapshot_restore () =
-  (* replaying the same access sequence from a restored snapshot at a
-     later clock yields bit-identical statistics deltas: LRU only depends
-     on stamp order, which clock translation preserves *)
-  let c = Cache.create config in
-  for i = 0 to 99 do
-    Cache.access c ~addr:(i * 64) ~write:(i land 1 = 0)
-  done;
-  let snap = Cache.snapshot c in
-  let clock0 = Cache.clock c in
-  let seq () =
-    for i = 0 to 499 do
-      Cache.access c ~addr:(i * 40) ~write:(i land 3 = 0)
-    done
-  in
-  let before = Cache.copy_stats (Cache.l1_stats c) in
-  seq ();
-  let d1 = Cache.sub_stats (Cache.l1_stats c) before in
-  let spent = Cache.clock c - clock0 in
-  (* perturb the cache thoroughly, then restore and replay *)
-  for i = 0 to 999 do
-    Cache.access c ~addr:(i * 72) ~write:true
-  done;
-  Cache.restore c snap ~clock_delta:spent;
-  let before = Cache.copy_stats (Cache.l1_stats c) in
-  seq ();
-  let d2 = Cache.sub_stats (Cache.l1_stats c) before in
-  Alcotest.(check (float 0.0)) "misses replay" d1.Cache.misses d2.Cache.misses;
-  Alcotest.(check (float 0.0)) "evicts replay" d1.Cache.evicts d2.Cache.evicts;
-  Alcotest.(check (float 0.0)) "writebacks replay" d1.Cache.writebacks
-    d2.Cache.writebacks
-
 let test_cache_probe_hit_run () =
   (* l1_probe + l1_hit_run must leave the cache in exactly the state the
      per-access path produces: identical stats now AND identical eviction
@@ -556,7 +524,6 @@ let suite =
     ("cache writeback accounting", `Quick, test_cache_writeback_accounting);
     ("cache non-pow2 geometry rounds", `Quick, test_cache_nonpow2_geometry);
     ("config validation", `Quick, test_config_validate);
-    ("cache snapshot/restore", `Quick, test_cache_snapshot_restore);
     ("cache probe + hit-run", `Quick, test_cache_probe_hit_run);
     ("cache flush keeps stats", `Quick, test_cache_flush_keeps_stats);
     ("line-granular stream agreement", `Quick, test_line_granular_agrees_on_streams);

@@ -1,7 +1,7 @@
 (** Tests of the bytecode trace engine's fast modes
-    ([Daisy_machine.Trace_bc]). The batched (fused) replay and the
-    simulation memo must keep every counter bit ([Int64.bits_of_float])
-    identical to the tree-walking oracle [Trace.run]. Approx mode (line
+    ([Daisy_machine.Trace_bc]). The batched (fused) replay must keep
+    every counter bit ([Int64.bits_of_float]) identical to the
+    tree-walking oracle [Trace.run]. Approx mode (line
     stepping + adaptive loop sampling) must stay within the documented
     error bound of the exact engine, and golden tables pin its output
     bit for bit. The plain exact walk is pinned to the oracle in
@@ -240,7 +240,7 @@ let edge_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Batched (fused) stream replay + simulation memo: bitwise contract    *)
+(* Batched (fused) stream replay: bitwise contract                       *)
 
 module Tb = Daisy_machine.Trace_bc
 module Pool = Daisy_support.Pool
@@ -253,9 +253,8 @@ let with_validation v f =
   Ir.validation_enabled := v;
   Fun.protect ~finally:(fun () -> Ir.validation_enabled := saved) f
 
-(** The fused bytecode paths must be {e bitwise identical} to the tree
-    oracle: the unfused walk, the batched walk, and — run twice against
-    one memo — both the memo-miss and the memo-hit pass. *)
+(** The bytecode paths must be {e bitwise identical} to the tree oracle:
+    the unfused walk and the batched walk. *)
 let check_batched name (p : Ir.program) ~sizes =
   List.iter
     (fun sample_outer ->
@@ -270,16 +269,8 @@ let check_batched name (p : Ir.program) ~sizes =
       in
       cmp "unfused bytecode"
         (Tb.run config p ~sizes ~sample_outer ~batch:false ());
-      cmp "fused bytecode" (Tb.run config p ~sizes ~sample_outer ~batch:true ());
-      let memo = Tb.memo_create config in
-      cmp "memo miss pass"
-        (Tb.run config p ~sizes ~sample_outer ~batch:true ~memo ());
-      cmp "memo hit pass"
-        (Tb.run config p ~sizes ~sample_outer ~batch:true ~memo ());
-      let hits, _ = Tb.memo_stats memo in
-      if tree <> [] && hits = 0 then
-        Alcotest.failf "%s (sample=%d): identical re-run produced no memo hits"
-          name sample_outer)
+      cmp "fused bytecode"
+        (Tb.run config p ~sizes ~sample_outer ~batch:true ()))
     [ 0; 7 ]
 
 let test_batched_polybench () =
@@ -336,28 +327,24 @@ let prop_batched_bitwise =
       in
       ok 0 && ok 3)
 
-(* a single memo shared across 4 domains must stay deterministic: racing
-   stores resolve to the same entries, so parallel evaluation is
-   bit-identical to sequential *)
-let test_batched_parallel_memo () =
+(* evaluations on 4 domains share no mutable state: parallel evaluation
+   is bit-identical to sequential *)
+let test_batched_parallel () =
   let progs =
     List.map (fun (b : Pb.benchmark) -> (Pb.program b, b.Pb.test_sizes)) Pb.all
   in
-  let eval memo (p, sizes) =
-    (Cost.evaluate config p ~sizes ~engine:Cost.Bytecode ~memo ()).Cost.nests
+  let eval (p, sizes) =
+    (Cost.evaluate config p ~sizes ~engine:Cost.Bytecode ()).Cost.nests
     |> List.map (fun nc -> nc.Cost.counters)
   in
-  let seq = List.map (eval (Tb.memo_create config)) progs in
-  let shared = Tb.memo_create config in
-  let par =
-    Pool.with_pool ~jobs:4 (fun pool -> Pool.map ?pool (eval shared) progs)
-  in
+  let seq = List.map eval progs in
+  let par = Pool.with_pool ~jobs:4 (fun pool -> Pool.map ?pool eval progs) in
   List.iteri
     (fun i (xs, ys) ->
       if
         List.length xs <> List.length ys
         || not (List.for_all2 Trace.counters_equal xs ys)
-      then Alcotest.failf "jobs 4 + shared memo: benchmark %d differs" i)
+      then Alcotest.failf "jobs 4: benchmark %d differs" i)
     (List.combine seq par)
 
 (* ------------------------------------------------------------------ *)
@@ -542,7 +529,7 @@ let suite =
     ("fused replay: polybench A/B bitwise", `Slow, test_batched_polybench);
     ("fused replay: edge cases bitwise", `Quick, test_batched_edge_cases);
     QCheck_alcotest.to_alcotest prop_batched_bitwise;
-    ("fused replay: shared memo across jobs", `Slow, test_batched_parallel_memo);
+    ("fused replay: jobs 4 == sequential", `Slow, test_batched_parallel);
     ("approx golden cycles bit for bit", `Slow, test_approx_golden);
     ("approx state per occurrence of a repeated cid", `Quick,
      test_approx_repeated_cid);
