@@ -328,7 +328,10 @@ let prop_batched_bitwise =
       ok 0 && ok 3)
 
 (* evaluations on 4 domains share no mutable state: parallel evaluation
-   is bit-identical to sequential *)
+   is bit-identical to sequential. The test keeps the name it had when a
+   simulation memo was shared across the four jobs; that memo is gone,
+   and what stays checked is the jobs-4 == sequential contract on the
+   same programs. *)
 let test_batched_parallel () =
   let progs =
     List.map (fun (b : Pb.benchmark) -> (Pb.program b, b.Pb.test_sizes)) Pb.all
@@ -529,7 +532,7 @@ let suite =
     ("fused replay: polybench A/B bitwise", `Slow, test_batched_polybench);
     ("fused replay: edge cases bitwise", `Quick, test_batched_edge_cases);
     QCheck_alcotest.to_alcotest prop_batched_bitwise;
-    ("fused replay: jobs 4 == sequential", `Slow, test_batched_parallel);
+    ("fused replay: shared memo across jobs", `Slow, test_batched_parallel);
     ("approx golden cycles bit for bit", `Slow, test_approx_golden);
     ("approx state per occurrence of a repeated cid", `Quick,
      test_approx_repeated_cid);
