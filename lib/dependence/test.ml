@@ -77,23 +77,17 @@ let conflict_system ~(src_ctx : Ir.loop list) ~(dst_ctx : Ir.loop list)
       System.eq sa da sys)
     sys src.Refs.indices dst.Refs.indices
 
-(** [directions ~common ~src_ctx ~dst_ctx src dst] — the set of feasible
-    direction vectors over the [common] loops for conflicting instances
-    (source iteration REL destination iteration per component). Assumes
-    [common] is a prefix of both contexts. Returns the full 3^n set when the
-    pair is non-affine. *)
-let directions ~(common : Ir.loop list) ~src_ctx ~dst_ctx (src : Refs.t)
-    (dst : Refs.t) : direction list list =
-  let n = List.length common in
-  let all_vectors =
+(** The direction vectors of a conflicting pair, computed afresh. *)
+let fresh_directions ~(common : Ir.loop list) ~src_ctx ~dst_ctx
+    (src : Refs.t) (dst : Refs.t) : direction list list =
+  let all_vectors () =
     let rec go k = if k = 0 then [ [] ] else
       let rest = go (k - 1) in
       List.concat_map (fun v -> [ Lt :: v; Eq :: v; Gt :: v ]) rest
     in
-    go n
+    go (List.length common)
   in
-  if not (Refs.conflict src dst) then []
-  else if
+  if
     (* classic ZIV/SIV/GCD filters: a provably never-aliasing subscript
        dimension kills the pair without touching Fourier-Motzkin *)
     Fastpath.independent_accesses
@@ -113,7 +107,7 @@ let directions ~(common : Ir.loop list) ~src_ctx ~dst_ctx (src : Refs.t)
   then []
   else
     match conflict_system ~src_ctx ~dst_ctx src dst with
-    | exception Non_affine -> all_vectors
+    | exception Non_affine -> all_vectors ()
     | base ->
         (* hierarchical DFS with pruning *)
         let rec probe sys prefix loops acc =
@@ -136,6 +130,99 @@ let directions ~(common : Ir.loop list) ~src_ctx ~dst_ctx (src : Refs.t)
                 [ (Lt, earlier); (Eq, System.eq); (Gt, later) ]
         in
         probe base [] common []
+
+(* ------------------------------------------------------------------ *)
+(* The pair memo                                                        *)
+
+(* Once [Refs.conflict] has passed, [fresh_directions] reads exactly this:
+   each loop's iterator, bounds and step in the three loop lists, and the
+   two subscript lists. Never the [Ir.loop] records themselves: their
+   [lid]s are fresh after every transformation and their [body] is a
+   whole subtree. *)
+type loop_key = string * Expr.t * Expr.t * int
+
+type key = {
+  k_common : loop_key list;
+  k_src_ctx : loop_key list;
+  k_dst_ctx : loop_key list;
+  k_src : Expr.t list;
+  k_dst : Expr.t list;
+}
+
+let loop_key (l : Ir.loop) : loop_key = (l.Ir.iter, l.Ir.lo, l.Ir.hi, l.Ir.step)
+
+module Memo = Hashtbl.Make (struct
+  type t = key
+
+  let equal (a : key) b = a = b
+
+  (* the whole key: [Hashtbl.hash] stops after 10 meaningful words, so
+     keys sharing a loop prefix would pile into one bucket *)
+  let mix h (x : int) = Hashtbl.seeded_hash h x
+
+  let rec expr h (e : Expr.t) =
+    match e with
+    | Expr.Const c -> mix (mix h 1) c
+    | Expr.Var v -> Hashtbl.seeded_hash (mix h 2) v
+    | Expr.Add (a, b) -> expr (expr (mix h 3) a) b
+    | Expr.Sub (a, b) -> expr (expr (mix h 4) a) b
+    | Expr.Mul (a, b) -> expr (expr (mix h 5) a) b
+    | Expr.Div (a, b) -> expr (expr (mix h 6) a) b
+    | Expr.Mod (a, b) -> expr (expr (mix h 7) a) b
+    | Expr.Neg a -> expr (mix h 8) a
+    | Expr.Min (a, b) -> expr (expr (mix h 9) a) b
+    | Expr.Max (a, b) -> expr (expr (mix h 10) a) b
+
+  let list f h l = List.fold_left f (mix h (List.length l)) l
+
+  let loop h ((iter, lo, hi, step) : loop_key) =
+    mix (expr (expr (Hashtbl.seeded_hash h iter) lo) hi) step
+
+  let hash k =
+    let h = list loop 0 k.k_common in
+    let h = list loop h k.k_src_ctx in
+    let h = list loop h k.k_dst_ctx in
+    list expr (list expr h k.k_src) k.k_dst
+end)
+
+(* One table for every domain and thread; a miss is computed outside the
+   lock, so two callers racing on one key store equal values. *)
+let memo : direction list list Memo.t = Memo.create 256
+let memo_lock = Mutex.create ()
+
+(* The table is cleared when it reaches this many entries. A CLOUDSC
+   full-model read asks 8 distinct questions and a whole PolyBench seeding
+   122, so the bound only caps a long-lived process's memory. *)
+let memo_capacity = 4096
+
+let clear_memo () = Mutex.protect memo_lock (fun () -> Memo.reset memo)
+
+(** [directions ~common ~src_ctx ~dst_ctx src dst] — the set of feasible
+    direction vectors over the [common] loops for conflicting instances
+    (source iteration REL destination iteration per component). Assumes
+    [common] is a prefix of both contexts. Returns the full 3^n set when the
+    pair is non-affine. A repeated question is answered from the memo. *)
+let directions ~(common : Ir.loop list) ~src_ctx ~dst_ctx (src : Refs.t)
+    (dst : Refs.t) : direction list list =
+  if not (Refs.conflict src dst) then []
+  else
+    let key =
+      {
+        k_common = List.map loop_key common;
+        k_src_ctx = List.map loop_key src_ctx;
+        k_dst_ctx = List.map loop_key dst_ctx;
+        k_src = src.Refs.indices;
+        k_dst = dst.Refs.indices;
+      }
+    in
+    match Mutex.protect memo_lock (fun () -> Memo.find_opt memo key) with
+    | Some vs -> vs
+    | None ->
+        let vs = fresh_directions ~common ~src_ctx ~dst_ctx src dst in
+        Mutex.protect memo_lock (fun () ->
+            if Memo.length memo >= memo_capacity then Memo.reset memo;
+            Memo.replace memo key vs);
+        vs
 
 (** [comp_directions ~common (ctxA, cA) (ctxB, cB)] — union of feasible
     direction vectors over all conflicting reference pairs between two

@@ -17,7 +17,14 @@ val directions :
   direction list list
 (** Feasible direction vectors over the [common] loops (a prefix of both
     contexts) for conflicting instances of the two references; [Lt] means
-    the source instance executes earlier at that level. *)
+    the source instance executes earlier at that level. Answers come from
+    a process-wide memo keyed on every input the test reads past the
+    container check (each loop's iterator, bounds and step, and both
+    subscript lists), so a hit equals a recomputation. *)
+
+val clear_memo : unit -> unit
+(** Empty the {!directions} memo, so that the next questions are tested
+    afresh. For tests and benchmarks; answers never depend on it. *)
 
 val comp_directions :
   ?ignore_containers:Daisy_support.Util.SSet.t ->

@@ -92,21 +92,24 @@ let tile ~outer (nest : Ir.loop) (specs : (int * int) list) :
         else begin
           let band_arr = Array.of_list band in
           (* bounds of point loops reference tile iterators; loops with
-             iterator-dependent bounds cannot be tiled this way *)
+             iterator-dependent bounds cannot be tiled this way: a tile
+             loop sits outside every point loop, so its bound may not
+             name a band iterator *)
+          let band_iters =
+            Util.SSet.of_list (List.map (fun (l : Ir.loop) -> l.Ir.iter) band)
+          in
           let ok_bounds =
             List.for_all
               (fun p ->
                 let l = band_arr.(p) in
-                Expr.equal l.Ir.lo Expr.zero && l.Ir.step = 1)
+                Expr.equal l.Ir.lo Expr.zero && l.Ir.step = 1
+                && Util.SSet.disjoint (Expr.free_vars l.Ir.hi) band_iters)
               tiled_positions
           in
-          if not ok_bounds then errorf "tile: loops must be normalized"
+          if not ok_bounds then
+            errorf "tile: loops must be normalized, with band-invariant bounds"
           else begin
-            let taken =
-              ref
-                (Util.SSet.of_list
-                   (List.map (fun (l : Ir.loop) -> l.Ir.iter) band))
-            in
+            let taken = ref band_iters in
             (* build tile headers and point headers *)
             let tile_loops = ref [] and point_loops = ref [] in
             Array.iteri

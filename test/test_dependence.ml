@@ -1,8 +1,17 @@
 (** Tests for the dependence analysis: direction vectors, statement graphs,
-    legality predicates, reductions. *)
+    legality predicates, reductions, and the pair memo behind
+    [Test.directions]. *)
 
 open Daisy_dependence
 module Ir = Daisy_loopir.Ir
+module Expr = Daisy_poly.Expr
+module Pb = Daisy_benchmarks.Polybench
+module Np = Daisy_benchmarks.Npbench
+module Cloudsc = Daisy_benchmarks.Cloudsc
+module Recipe = Daisy_transforms.Recipe
+module Fusion = Daisy_transforms.Fusion
+module Pipeline = Daisy_normalize.Pipeline
+module S = Daisy_scheduler
 
 let lower = Daisy_lang.Lower.program_of_string ~source:"test.c"
 let norm p = Daisy_normalize.Iter_norm.run (lower p)
@@ -281,8 +290,415 @@ let test_seidel_fully_sequential () =
         (Legality.legal_permutation vectors [| 0; 2; 1 |])
   | _ -> Alcotest.fail "one nest"
 
+(* ------------------------------------------------------------------ *)
+(* The pair memo: a warm answer equals a fresh one                      *)
+
+(* one reference-pair question, as the callers of [Test.directions] ask it *)
+type query = {
+  common : Ir.loop list;
+  src_ctx : Ir.loop list;
+  dst_ctx : Ir.loop list;
+  src : Refs.t;
+  dst : Refs.t;
+}
+
+let ask q =
+  Test.directions ~common:q.common ~src_ctx:q.src_ctx ~dst_ctx:q.dst_ctx q.src
+    q.dst
+
+(* the questions [Test.comp_directions] asks about two computations *)
+let comp_queries ~common (src_ctx, ca) (dst_ctx, cb) =
+  List.concat_map
+    (fun src ->
+      List.filter_map
+        (fun dst ->
+          if Refs.conflict src dst then
+            Some { common; src_ctx; dst_ctx; src; dst }
+          else None)
+        (Refs.of_comp cb))
+    (Refs.of_comp ca)
+
+let pairs_queries ~common comps_a comps_b =
+  List.concat_map
+    (fun (ia, ca) ->
+      List.concat_map
+        (fun (ib, cb) ->
+          comp_queries ~common (common @ ia, ca) (common @ ib, cb))
+        comps_b)
+    comps_a
+
+(* [Legality.loop_carries_dependence] and [Graph.build] on [l] (the graph
+   asks a subset of the same pairs), and [Legality.band_dep_vectors] on
+   the band that starts at [l] *)
+let loop_queries ~outer (l : Ir.loop) =
+  let comps = Ir.comps_with_context l.Ir.body in
+  let band, body = Legality.perfect_band l in
+  let band_comps = Ir.comps_with_context body in
+  pairs_queries ~common:(outer @ [ l ]) comps comps
+  @ pairs_queries ~common:(outer @ band) band_comps band_comps
+
+(* [Fusion.fuse ~outer l1 l2]: the fused loop keeps [l1]'s iterator and
+   range, and [l2]'s body is renamed onto it *)
+let fusion_queries ~outer (l1 : Ir.loop) (l2 : Ir.loop) =
+  if
+    Expr.equal l1.Ir.lo l2.Ir.lo && Expr.equal l1.Ir.hi l2.Ir.hi
+    && l1.Ir.step = l2.Ir.step
+  then
+    let body2 =
+      Ir.subst_idx_nodes
+        (Daisy_support.Util.SMap.singleton l2.Ir.iter (Expr.var l1.Ir.iter))
+        l2.Ir.body
+    in
+    pairs_queries ~common:(outer @ [ l1 ])
+      (Ir.comps_with_context l1.Ir.body)
+      (Ir.comps_with_context body2)
+  else []
+
+(* every loop of a node list, with the loops enclosing it *)
+let rec loops_with_outer ~outer nodes =
+  List.concat_map
+    (function
+      | Ir.Nloop l -> (outer, l) :: loops_with_outer ~outer:(outer @ [ l ]) l.Ir.body
+      | _ -> [])
+    nodes
+
+(* adjacent loop pairs of every node list, with the loops enclosing them *)
+let rec adjacent_loops ~outer nodes =
+  let rec adjacent = function
+    | Ir.Nloop a :: (Ir.Nloop b :: _ as rest) -> (outer, a, b) :: adjacent rest
+    | _ :: rest -> adjacent rest
+    | [] -> []
+  in
+  adjacent nodes
+  @ List.concat_map
+      (function
+        | Ir.Nloop l -> adjacent_loops ~outer:(outer @ [ l ]) l.Ir.body
+        | _ -> [])
+      nodes
+
+let nodes_queries nodes =
+  List.concat_map (fun (outer, l) -> loop_queries ~outer l)
+    (loops_with_outer ~outer:[] nodes)
+  @ List.concat_map (fun (outer, a, b) -> fusion_queries ~outer a b)
+      (adjacent_loops ~outer:[] nodes)
+
+(* candidate recipes for a band of [n] loops: each kind of step alone and
+   one chain of them (a step after a tile is left out: the tiled nest's
+   bounds are non-affine, so every question about it answers all 3^depth
+   vectors without a test, slowly) *)
+let candidate_recipes n =
+  let reversed = List.init n (fun p -> n - 1 - p) in
+  [
+    [ Recipe.Interchange reversed ];
+    [ Recipe.Tile (List.init n (fun p -> (p, 8))) ];
+    [ Recipe.Parallelize 0 ];
+    [ Recipe.Vectorize ];
+    [ Recipe.Unroll (n - 1, 4) ];
+    [ Recipe.Interchange reversed; Recipe.Parallelize 0; Recipe.Vectorize ];
+  ]
+
+(* The corpus, in parts whose distinct questions each fit the table, so
+   that a warm answer is always a hit. Each program is taken as written
+   and normalized. *)
+let memo_corpus () =
+  let pb = List.map Pb.program (Pb.all @ Pb.extras) in
+  let with_normalized ps =
+    List.concat_map
+      (fun p ->
+        let p = Daisy_normalize.Iter_norm.run p in
+        [ p; Pipeline.normalize p ])
+      ps
+  in
+  [
+    ("polybench A", pb);
+    ("polybench B", List.map (Daisy_benchmarks.Variants.generate ~seed:"memo") pb);
+    ( "cloudsc",
+      [ Cloudsc.lower Cloudsc.full_source; fst (Cloudsc.erosion_original ~iters:4) ] );
+    ( "npbench",
+      List.map
+        (fun (b : Np.benchmark) ->
+          Daisy_arraylang.Lower.lower Daisy_arraylang.Lower.frontend_policy
+            b.Np.program)
+        Np.all );
+    ( "random",
+      QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:120
+        Test_property.gen_program );
+  ]
+  |> List.map (fun (name, ps) -> (name, with_normalized ps))
+
+(* each program's body, and every top-level nest again after each
+   candidate recipe that applies *)
+let bodies_with_recipes programs =
+  List.concat_map
+    (fun (p : Ir.program) ->
+      p.Ir.body
+      :: List.concat_map
+           (function
+             | Ir.Nloop l ->
+                 let band, _ = Legality.perfect_band l in
+                 List.filter_map
+                   (fun r ->
+                     match Recipe.apply ~outer:[] l r with
+                     | Ok l' -> Some [ Ir.Nloop l' ]
+                     | Error _ -> None)
+                   (candidate_recipes (List.length band))
+             | _ -> [])
+           p.Ir.body)
+    programs
+
+(* what a question reads, spelled out independently of the memo *)
+let query_inputs q =
+  let loop (l : Ir.loop) = (l.Ir.iter, l.Ir.lo, l.Ir.hi, l.Ir.step) in
+  ( List.map loop q.common,
+    List.map loop q.src_ctx,
+    List.map loop q.dst_ctx,
+    q.src.Refs.indices,
+    q.dst.Refs.indices )
+
+let distinct_queries queries =
+  let seen = Hashtbl.create 1024 in
+  List.filter
+    (fun q ->
+      let k = query_inputs q in
+      if Hashtbl.mem seen k then false
+      else (
+        Hashtbl.add seen k ();
+        true))
+    queries
+
+(* the callers' own results on every loop and adjacent loop pair of a node
+   list *)
+let caller_results ~fresh nodes =
+  let clear () = if fresh then Test.clear_memo () in
+  let loops =
+    List.map
+      (fun (outer, l) ->
+        clear ();
+        let band, body = Legality.perfect_band l in
+        let vs = Legality.band_dep_vectors ~outer band body in
+        clear ();
+        let g = (Graph.build ~outer ~loop:l).Graph.edges in
+        clear ();
+        ( vs,
+          Array.map Daisy_support.Util.ISet.elements g,
+          Legality.loop_carries_dependence ~outer l ))
+      (loops_with_outer ~outer:[] nodes)
+  in
+  let fusions =
+    List.map
+      (fun (outer, a, b) ->
+        clear ();
+        match Fusion.fuse ~outer a b with
+        | Ok l -> Ok (Ir.canon_nodes [ Ir.Nloop l ])
+        | Error e -> Error e)
+      (adjacent_loops ~outer:[] nodes)
+  in
+  (loops, fusions)
+
+let test_memo_warm_equals_fresh () =
+  List.iter
+    (fun (part, programs) ->
+      Test.clear_memo ();
+      let bodies = bodies_with_recipes programs in
+      let queries = List.concat_map nodes_queries bodies in
+      let distinct = distinct_queries queries in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d distinct of %d questions fit the table" part
+           (List.length distinct) (List.length queries))
+        true
+        (List.length distinct < 4096);
+      Test.clear_memo ();
+      List.iter (fun q -> ignore (ask q)) queries;
+      let warm = List.map ask distinct in
+      let fresh =
+        List.map
+          (fun q ->
+            Test.clear_memo ();
+            ask q)
+          distinct
+      in
+      Alcotest.(check bool) (part ^ ": warm answers equal fresh ones") true
+        (warm = fresh);
+      (* the callers themselves, on the programs (a recipe's tiled nest is
+         non-affine, so its vectors, 3^depth per pair, make these slow) *)
+      let bodies = List.map (fun (p : Ir.program) -> p.Ir.body) programs in
+      Test.clear_memo ();
+      ignore (List.map (caller_results ~fresh:false) bodies);
+      let warm = List.map (caller_results ~fresh:false) bodies in
+      Alcotest.(check bool)
+        (part ^ ": band vectors, graphs, carried deps and fusion verdicts")
+        true
+        (warm = List.map (caller_results ~fresh:true) bodies))
+    (memo_corpus ())
+
+(* Collision probes: each pair differs in one input only and has a
+   different true answer; asked back to back, neither may see the other's
+   entry. *)
+let probe_loop ?(step = 1) iter lo hi = Ir.mk_loop ~iter ~lo ~hi ~step []
+
+let probe_ref kind indices = { Refs.kind; container = "A"; indices }
+let w = probe_ref Refs.Write
+let r = probe_ref Refs.Read
+let n = Expr.var "n"
+let i = Expr.var "i"
+let j = Expr.var "j"
+let c = Expr.const
+let ( -: ) = Expr.sub
+let ( +: ) = Expr.add
+let same ctx src dst = { common = ctx; src_ctx = ctx; dst_ctx = ctx; src; dst }
+
+let collision_probes =
+  let i_0n = probe_loop "i" (c 0) n in
+  let j_11 = probe_loop "j" (c 1) (c 1) in
+  let j_0n = probe_loop "j" (c 0) n in
+  let one_side ~src_inner ~dst_inner src dst =
+    {
+      common = [ i_0n ];
+      src_ctx = i_0n :: src_inner;
+      dst_ctx = i_0n :: dst_inner;
+      src;
+      dst;
+    }
+  in
+  let all1 = [ [ Test.Lt ]; [ Test.Eq ]; [ Test.Gt ] ] in
+  [
+    ( "lo",
+      same [ probe_loop "i" n n ] (w [ i ]) (r [ i -: c 1 ]),
+      [],
+      same [ i_0n ] (w [ i ]) (r [ i -: c 1 ]),
+      [ [ Test.Lt ] ] );
+    ( "hi",
+      same [ probe_loop "i" (c 0) (c 0) ] (w [ i ]) (r [ i -: c 1 ]),
+      [],
+      same [ i_0n ] (w [ i ]) (r [ i -: c 1 ]),
+      [ [ Test.Lt ] ] );
+    ( "step sign",
+      same [ i_0n ] (w [ i ]) (r [ i -: c 1 ]),
+      [ [ Test.Lt ] ],
+      same [ probe_loop ~step:(-1) "i" (c 0) n ] (w [ i ]) (r [ i -: c 1 ]),
+      [ [ Test.Gt ] ] );
+    ( "inner loop on the source side only",
+      one_side ~src_inner:[ j_11 ] ~dst_inner:[] (w [ i +: j ]) (r [ i ]),
+      [ [ Test.Lt ] ],
+      one_side ~src_inner:[] ~dst_inner:[] (w [ i +: j ]) (r [ i ]),
+      all1 );
+    ( "inner loop on the destination side only",
+      one_side ~src_inner:[] ~dst_inner:[ j_11 ] (w [ i ]) (r [ i +: j ]),
+      [ [ Test.Gt ] ],
+      one_side ~src_inner:[] ~dst_inner:[] (w [ i ]) (r [ i +: j ]),
+      all1 );
+    ( "one subscript",
+      same [ i_0n ] (w [ i ]) (r [ i -: c 1 ]),
+      [ [ Test.Lt ] ],
+      same [ i_0n ] (w [ i ]) (r [ i +: c 1 ]),
+      [ [ Test.Gt ] ] );
+    ( "length of common",
+      { (same [ i_0n; j_0n ] (w [ i; j ]) (r [ i; j -: c 1 ])) with
+        common = [ i_0n ] },
+      [ [ Test.Eq ] ],
+      same [ i_0n; j_0n ] (w [ i; j ]) (r [ i; j -: c 1 ]),
+      [ [ Test.Eq; Test.Lt ] ] );
+  ]
+
+let sorted = List.sort compare
+
+let test_memo_collision_probes () =
+  List.iter
+    (fun (name, q1, a1, q2, a2) ->
+      let fresh q =
+        Test.clear_memo ();
+        sorted (ask q)
+      in
+      Alcotest.(check bool) (name ^ ": first answer") true (fresh q1 = a1);
+      Alcotest.(check bool) (name ^ ": second answer") true (fresh q2 = a2);
+      Test.clear_memo ();
+      let x1 = sorted (ask q1) in
+      let x2 = sorted (ask q2) in
+      Alcotest.(check bool) (name ^ ": back to back") true (x1 = a1 && x2 = a2);
+      Test.clear_memo ();
+      let y2 = sorted (ask q2) in
+      let y1 = sorted (ask q1) in
+      Alcotest.(check bool) (name ^ ": reversed") true (y1 = a1 && y2 = a2))
+    collision_probes;
+  (* the same two questions through the callers: the outer loop of a 2-deep
+     band carries no dependence, its band does *)
+  let l =
+    only_nest
+      (norm
+         {|void f(int n, double A[n][n]) {
+             for (int i = 0; i < n; i++)
+               for (int j = 1; j < n; j++)
+                 A[i][j] = A[i][j - 1] + 1.0;
+           }|})
+  in
+  Test.clear_memo ();
+  Alcotest.(check bool) "outer loop carries nothing" false
+    (Legality.loop_carries_dependence ~outer:[] l);
+  let band, body = Legality.perfect_band l in
+  Alcotest.(check bool) "band vectors after the outer-loop question" true
+    (Legality.band_dep_vectors ~outer:[] band body = [ [ Test.Eq; Test.Lt ] ])
+
+(* Pipeline level: normalization and both engines' schedules are the same
+   with the memo cleared before each call and with it kept warm. *)
+let test_memo_pipeline () =
+  let programs =
+    List.concat_map
+      (fun (b : Pb.benchmark) ->
+        let p = Pb.program b in
+        [ (p, b.Pb.test_sizes);
+          (Daisy_benchmarks.Variants.generate ~seed:"memo" p, b.Pb.test_sizes) ])
+      Pb.all
+    @ [ Cloudsc.erosion_original ~iters:4 ]
+  in
+  (* a small database whose recipes make every read apply strict recipe
+     steps *)
+  let db = S.Database.create () in
+  List.iter
+    (fun (p, _) ->
+      List.iter
+        (function
+          | Ir.Nloop nest ->
+              let band, _ = Legality.perfect_band nest in
+              List.iter
+                (fun recipe -> S.Database.add db ~source:"memo" ~nest ~recipe)
+                (candidate_recipes (List.length band))
+          | _ -> ())
+        (Pipeline.normalize p).Ir.body)
+    programs;
+  let run ~clear =
+    List.map
+      (fun (p, sizes) ->
+        let normalized =
+          if clear then Test.clear_memo ();
+          Ir.canon_nodes (Pipeline.normalize ~sizes p).Ir.body
+        in
+        let schedule engine =
+          if clear then Test.clear_memo ();
+          let ctx = S.Common.make_ctx ~sample_outer:4 ~engine ~sizes () in
+          let report = S.Daisy.schedule ctx ~db p in
+          ( Ir.canon_nodes report.S.Daisy.program.Ir.body,
+            List.map (Fmt.str "%a" S.Daisy.pp_decision) report.S.Daisy.decisions,
+            Printf.sprintf "%h" (S.Common.runtime_ms ctx report.S.Daisy.program) )
+        in
+        ( normalized,
+          schedule Daisy_machine.Cost.Bytecode,
+          schedule (Daisy_machine.Cost.Approx Daisy_machine.Trace_bc.default_approx) ))
+      programs
+  in
+  let cleared = run ~clear:true in
+  let warm = run ~clear:false in
+  List.iter2
+    (fun (n1, e1, a1) (n2, e2, a2) ->
+      Alcotest.(check bool) "normalized structure" true (n1 = n2);
+      Alcotest.(check bool) "exact-engine schedule" true (e1 = e2);
+      Alcotest.(check bool) "approximate-engine schedule" true (a1 = a2))
+    cleared warm
+
 let suite =
   [
+    ("memo: warm equals fresh", `Quick, test_memo_warm_equals_fresh);
+    ("memo: collision probes", `Quick, test_memo_collision_probes);
+    ("memo: pipeline warm equals cleared", `Quick, test_memo_pipeline);
     ("seidel-2d fully sequential", `Quick, test_seidel_fully_sequential);
     ("fastpath verdicts", `Quick, test_fastpath_verdicts);
     ("fastpath agrees with FM", `Quick, test_fastpath_agrees_with_fm);

@@ -98,6 +98,32 @@ let test_tile_illegal_band () =
   | Ok _ -> Alcotest.fail "tiling must be rejected"
   | Error _ -> ())
 
+let test_tile_triangular () =
+  (* j's bound names i: a j tile loop would sit outside the i point loop,
+     so only i may be tiled *)
+  let p =
+    norm
+      {|void f(int n, double A[n][n]) {
+          for (int i = 0; i < n; i++)
+            for (int j = 0; j <= i; j++)
+              A[i][j] = A[i][j] * 2.0;
+        }|}
+  in
+  let l = only_nest p in
+  List.iter
+    (fun specs ->
+      match Lt.tile ~outer:[] l specs with
+      | Ok _ -> Alcotest.fail "tiling j must be rejected"
+      | Error _ -> ())
+    [ [ (1, 4) ]; [ (0, 4); (1, 4) ] ];
+  match Lt.tile ~outer:[] l [ (0, 4) ] with
+  | Error e -> Alcotest.fail e
+  | Ok l' ->
+      Alcotest.(check (list string)) "valid" []
+        (Ir.validate_nodes ~params:(Ir.free_index_vars [ Ir.Nloop l ])
+           [ Ir.Nloop l' ]);
+      check_equiv ~sizes:[ ("n", 9) ] p (with_nest p l')
+
 let test_parallelize () =
   let p = norm gemm_src in
   let l = only_nest p in
@@ -343,6 +369,7 @@ let suite =
     ("tile gemm 3d", `Quick, test_tile_gemm);
     ("tile partial", `Quick, test_tile_partial);
     ("tile illegal band", `Quick, test_tile_illegal_band);
+    ("tile triangular band", `Quick, test_tile_triangular);
     ("parallelize + atomic fallback", `Quick, test_parallelize);
     ("vectorize legal", `Quick, test_vectorize_legal);
     ("vectorize recurrence illegal", `Quick, test_vectorize_illegal);
