@@ -36,7 +36,13 @@ let band_dep_vectors ~(outer : Ir.loop list) (band : Ir.loop list)
   let indexed = List.mapi (fun i (inner, c) -> (i, inner, c)) comps in
   let n_outer = List.length outer in
   let vectors = ref [] in
-  let add v = if not (List.mem v !vectors) then vectors := v :: !vectors in
+  let seen = Hashtbl.create 16 in
+  let add v =
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.add seen v ();
+      vectors := v :: !vectors
+    end
+  in
   let flip v =
     List.map
       (function Test.Lt -> Test.Gt | Test.Gt -> Test.Lt | Test.Eq -> Test.Eq)

@@ -226,14 +226,17 @@ let directions ~(common : Ir.loop list) ~src_ctx ~dst_ctx (src : Refs.t)
 
 (** [comp_directions ~common (ctxA, cA) (ctxB, cB)] — union of feasible
     direction vectors over all conflicting reference pairs between two
-    computations. Containers in [ignore_containers] (e.g. privatizable
-    scalars) are excluded from conflict detection. *)
+    computations, each vector once, in first-occurrence order. Containers
+    in [ignore_containers] (e.g. privatizable scalars) are excluded from
+    conflict detection. *)
 let comp_directions ?(ignore_containers = Util.SSet.empty) ~common
     (src_ctx, (cA : Ir.comp)) (dst_ctx, (cB : Ir.comp)) :
     direction list list =
   let keep r = not (Util.SSet.mem r.Refs.container ignore_containers) in
   let refs_a = List.filter keep (Refs.of_comp cA)
   and refs_b = List.filter keep (Refs.of_comp cB) in
+  (* hashed: a non-affine pair answers all 3^depth vectors *)
+  let seen = Hashtbl.create 16 in
   List.concat_map
     (fun ra ->
       List.concat_map
@@ -243,7 +246,12 @@ let comp_directions ?(ignore_containers = Util.SSet.empty) ~common
           else [])
         refs_b)
     refs_a
-  |> Util.dedup ~eq:( = )
+  |> List.filter (fun v ->
+         if Hashtbl.mem seen v then false
+         else begin
+           Hashtbl.add seen v ();
+           true
+         end)
 
 (** [distance_at ~common ~src_ctx ~dst_ctx src dst loop] — the constant
     dependence distance at [loop] (a member of [common]) when it is unique:

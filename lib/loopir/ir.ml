@@ -512,6 +512,42 @@ let equal_structure a b = canon_nodes a = canon_nodes b
 (** Structural hash of a node list (canonical form). *)
 let hash_structure nodes = Hashtbl.hash (canon_nodes nodes)
 
+(** [equal_up_to_ids a b] walks both trees in step. Each kind of id keeps
+    one bijection, grown at first occurrence, so two ids match iff they
+    get the same first-occurrence number; everything else compares with
+    [=]. No copy, no string. *)
+let equal_up_to_ids (a : node list) (b : node list) : bool =
+  let bijection () = (Hashtbl.create 16, Hashtbl.create 16) in
+  let cids = bijection () and lids = bijection () and kids = bijection () in
+  let same_id (fwd, bwd) (x : int) (y : int) =
+    match Hashtbl.find_opt fwd x with
+    | Some y' -> y' = y
+    | None when Hashtbl.mem bwd y -> false
+    | None ->
+        Hashtbl.add fwd x y;
+        Hashtbl.add bwd y x;
+        true
+  in
+  let rec nodes xs ys =
+    match (xs, ys) with
+    | [], [] -> true
+    | x :: xs, y :: ys -> node x y && nodes xs ys
+    | _ -> false
+  and node x y =
+    match (x, y) with
+    | Ncomp c, Ncomp d ->
+        same_id cids c.cid d.cid && c.dest = d.dest && c.rhs = d.rhs
+        && c.guard = d.guard
+    | Nloop l, Nloop m ->
+        same_id lids l.lid m.lid && String.equal l.iter m.iter
+        && l.lo = m.lo && l.hi = m.hi && l.step = m.step && l.attrs = m.attrs
+        && nodes l.body m.body
+    | Ncall k, Ncall j ->
+        same_id kids k.kid j.kid && { k with kid = 0 } = { j with kid = 0 }
+    | _ -> false
+  in
+  nodes a b
+
 (* ------------------------------------------------------------------ *)
 (* Structural validation                                                *)
 

@@ -187,6 +187,13 @@ val canon_nodes : node list -> node list
 val equal_structure : node list -> node list -> bool
 val hash_structure : node list -> int
 
+val equal_up_to_ids : node list -> node list -> bool
+(** Equal once [cid]s, [lid]s and [kid]s are each renumbered by first
+    occurrence in pre-order; iterator names and everything else must
+    match exactly. Unlike {!equal_structure} this keeps which nodes
+    share an id, which the trace walk's per-[cid] and per-[lid] memos
+    read: two programs equal up to ids simulate to the same bits. *)
+
 (** {1 Structural validation}
 
     A debug net for transformation bugs: checks that every integer

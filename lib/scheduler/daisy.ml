@@ -104,10 +104,12 @@ let verify_candidate (ctx : Common.ctx) ~quarantine ~(outer : Ir.loop list)
 
 (** Candidate schedules for one liftable unit: as-is, auto-vectorized, and
     every database recipe that applies strictly; the simulated runtime
-    (of the unit wrapped in its enclosing loops) picks. *)
+    (of the unit wrapped in its enclosing loops) picks. Also returns the
+    winner's measured runtime, [None] when no candidate's cost beat
+    [infinity]. *)
 let transfer_nest (ctx : Common.ctx) ~(db : Database.t) ~quarantine
     ~(outer : Ir.loop list) (p : Ir.program) (nest : Ir.loop) :
-    Ir.loop * action =
+    Ir.loop * action * float option =
   let candidates =
     let exact =
       List.map (fun e -> e.Database.recipe) (Database.exact_matches db nest)
@@ -134,24 +136,34 @@ let transfer_nest (ctx : Common.ctx) ~(db : Database.t) ~quarantine
         | Ok _ | Error _ -> None)
       candidates
   in
-  let _, n, a =
+  (* Recipes often rebuild a nest already in the list ([], [vectorize],
+     a step repeated). A unit equal up to ids to one already costed
+     simulates to the same bits, and the fold keeps the first strict
+     minimum, so it cannot win: each distinct unit is costed once. *)
+  let costed = ref [] in
+  let bt, n, a =
     List.fold_left
       (fun ((bt, _, _) as best) (n, a) ->
-        let t =
-          Common.nest_runtime_ms ctx p (Common.wrap_outer outer (Ir.Nloop n))
-        in
-        if t < bt then (t, n, a) else best)
+        let unit = Common.wrap_outer outer (Ir.Nloop n) in
+        if List.exists (fun u -> Ir.equal_up_to_ids [ u ] [ unit ]) !costed
+        then best
+        else begin
+          costed := unit :: !costed;
+          let t = Common.nest_runtime_ms ctx p unit in
+          if t < bt then (t, n, a) else best
+        end)
       (infinity, nest, (`Unoptimized : action))
       (baseline @ applied)
   in
-  (n, a)
+  (n, a, if bt < infinity then Some bt else None)
 
 (** Recursively optimize the schedulable units of a nest (see
     {!Common.schedulable_units}): leaf units get transfer tuning; purely
-    structural outer loops recurse. *)
+    structural outer loops recurse. The runtime is [transfer_nest]'s
+    measurement when the nest is one leaf unit, [None] otherwise. *)
 let rec optimize_nest (ctx : Common.ctx) ~db ~options ~quarantine ~decide
     ~counter ~(outer : Ir.loop list) (sub : Ir.program) (nest : Ir.loop) :
-    Ir.loop =
+    Ir.loop * float option =
   let band, body = Daisy_dependence.Legality.perfect_band nest in
   let has_comp =
     List.exists (function Ir.Ncomp _ | Ir.Ncall _ -> true | _ -> false) body
@@ -164,26 +176,29 @@ let rec optimize_nest (ctx : Common.ctx) ~db ~options ~quarantine ~decide
         (function
           | Ir.Nloop sub_nest ->
               Ir.Nloop
-                (optimize_nest ctx ~db ~options ~quarantine ~decide ~counter
-                   ~outer:(outer @ band) sub sub_nest)
+                (fst
+                   (optimize_nest ctx ~db ~options ~quarantine ~decide
+                      ~counter ~outer:(outer @ band) sub sub_nest))
           | other -> other)
         body
     in
-    Daisy_normalize.Stride.rebuild_band band body'
+    (Daisy_normalize.Stride.rebuild_band band body', None)
   end
   else begin
     incr counter;
     let label = Printf.sprintf "nest#%d" !counter in
     if options.transfer then begin
-      let nest', action = transfer_nest ctx ~db ~quarantine ~outer sub nest in
+      let nest', action, t =
+        transfer_nest ctx ~db ~quarantine ~outer sub nest
+      in
       decide label action;
-      nest'
+      (nest', t)
     end
     else begin
       decide label `Unoptimized;
       match Lt.vectorize ~outer nest with
-      | Ok nest' -> nest'
-      | Error _ -> nest
+      | Ok nest' -> (nest', None)
+      | Error _ -> (nest, None)
     end
   end
 
@@ -195,8 +210,9 @@ let schedule_unit (ctx : Common.ctx) ~db ~options ~quarantine ~decide
     ~counter ~outer sub (nest : Ir.loop) : Ir.node =
   let transfer_result () =
     Ir.Nloop
-      (optimize_nest ctx ~db ~options ~quarantine ~decide ~counter ~outer sub
-         nest)
+      (fst
+         (optimize_nest ctx ~db ~options ~quarantine ~decide ~counter ~outer
+            sub nest))
   in
   if not options.transfer then transfer_result ()
   else
@@ -211,13 +227,18 @@ let schedule_unit (ctx : Common.ctx) ~db ~options ~quarantine ~decide
         let silent = ref [] in
         let silent_decide label action = silent := (label, action) :: !silent in
         let counter' = ref !counter in
-        let transfer_node =
-          Ir.Nloop
-            (optimize_nest ctx ~db ~options ~quarantine
-               ~decide:silent_decide ~counter:counter' ~outer sub nest)
+        let transfer_loop, measured =
+          optimize_nest ctx ~db ~options ~quarantine ~decide:silent_decide
+            ~counter:counter' ~outer sub nest
         in
+        let transfer_node = Ir.Nloop transfer_loop in
+        (* a leaf unit's winner was costed as this very program *)
         let t_transfer =
-          Common.nest_runtime_ms ctx sub (Common.wrap_outer outer transfer_node)
+          match measured with
+          | Some t -> t
+          | None ->
+              Common.nest_runtime_ms ctx sub
+                (Common.wrap_outer outer transfer_node)
         in
         if t_call <= t_transfer then begin
           incr counter;

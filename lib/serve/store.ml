@@ -48,8 +48,10 @@ let empty_snapshot () =
 (* Load a database file into a fresh snapshot: the ["serve_reload"]
    fault point fires before the read, per-entry corruption is tolerated
    by [Database.load] (warned, throttled), and the ANN sidecar at
-   [path ^ ".ann"] is attached when present and valid — a missing,
-   stale or corrupt sidecar silently degrades to the linear scan. *)
+   [path ^ ".ann"] is attached when present and valid. A stale, corrupt
+   or foreign sidecar is warned about once and replaced by an index
+   built in memory; the file is left as it is. Without a sidecar the
+   queries scan. *)
 let load_snapshot path : snapshot =
   Fault.inject "serve_reload";
   let db, warnings = Database.load path in
@@ -63,9 +65,11 @@ let load_snapshot path : snapshot =
       | Ok desc -> Some desc
       | Error reason ->
           Diag.warn_throttled ~label:"serve_ann_load"
-            "ann sidecar %s not attached (%s); serving from the linear scan"
+            "ann sidecar %s not attached (%s); serving from an index built \
+             in memory"
             ann reason;
-          None
+          Database.build_index db;
+          Database.index_description db
     else None
   in
   { db; fingerprint = Database.fingerprint db; index }

@@ -6,7 +6,9 @@
 type snapshot = {
   db : Daisy_scheduler.Database.t;
   fingerprint : string;  (** {!Daisy_scheduler.Database.fingerprint} *)
-  index : string option;  (** attached ANN sidecar description *)
+  index : string option;
+      (** attached ANN index description: the sidecar's, or that of an
+          index built in memory when the sidecar is unusable *)
 }
 
 type t
@@ -15,7 +17,10 @@ val create : ?path:string -> unit -> t
 (** [create ~path ()] loads the database at [path] (raising
     [Daisy_support.Diag.Error] on whole-file problems — the daemon
     fails fast at boot) and attaches the [path ^ ".ann"] sidecar when
-    present and valid. When [path] is a sharded store directory
+    present and valid. A present but stale, corrupt or foreign sidecar is
+    warned about once (label ["serve_ann_load"]) and an index is built in
+    memory instead; the file is never rewritten. When [path] is a
+    sharded store directory
     ({!Daisy_scheduler.Shardstore.is_store_dir}) the snapshot serves
     {e through} the shard store instead, with per-shard hot reload and
     quarantine-degraded corruption handling. Without [path], an empty

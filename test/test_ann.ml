@@ -552,15 +552,20 @@ let test_leftover_lsh_sidecar () =
       Alcotest.(check int)
         "no index fallbacks" 0
         (S.Database.index_fallbacks ());
-      (* the daemon's monolithic store serves the scan, warning once *)
+      (* the daemon's monolithic store warns once and serves from an
+         index it builds in memory, leaving the file as it is *)
+      let lsh = read_file path in
       Diag.reset_warn ~label:"serve_ann_load" ();
       let store = Store.create ~path:dbpath () in
-      Alcotest.(check bool) "store serves without the sidecar" true
-        ((Store.snapshot store).Store.index = None);
+      Alcotest.(check bool) "an index is attached" true
+        ((Store.snapshot store).Store.index <> None
+        && S.Database.has_index (Store.db store));
       Alcotest.(check int) "one sidecar warning" 1
         (Diag.warn_calls "serve_ann_load");
       Alcotest.check answers "store answers = scan" scan
         (project (S.Database.query_embedding (Store.db store) ~k:5 q));
+      Alcotest.(check bool) "the sidecar file is untouched" true
+        (read_file path = lsh);
       (* a rebuild replaces the file with a k-d index that loads *)
       ignore (S.Database.rebuild_index db path);
       S.Database.detach_index db;

@@ -694,11 +694,113 @@ let test_memo_pipeline () =
       Alcotest.(check bool) "approximate-engine schedule" true (a1 = a2))
     cleared warm
 
+(* ------------------------------------------------------------------ *)
+(* Hashed de-duplication: the same vectors in the same order            *)
+
+(* the list-based de-duplications the hashed ones replaced *)
+let listed_comp_directions ~common a b =
+  Daisy_support.Util.dedup ~eq:( = )
+    (List.concat_map ask (comp_queries ~common a b))
+
+let listed_band_dep_vectors ~outer band body =
+  let comps = Ir.comps_with_context body in
+  let indexed = List.mapi (fun i (inner, c) -> (i, inner, c)) comps in
+  let n_outer = List.length outer in
+  let vectors = ref [] in
+  let add v = if not (List.mem v !vectors) then vectors := v :: !vectors in
+  let flip =
+    List.map (function Test.Lt -> Test.Gt | Test.Gt -> Test.Lt | Test.Eq -> Test.Eq)
+  in
+  List.iter
+    (fun (i, inner_a, ca) ->
+      List.iter
+        (fun (j, inner_b, cb) ->
+          if j >= i then
+            List.iter
+              (fun v ->
+                if
+                  List.for_all (( = ) Test.Eq)
+                    (Daisy_support.Util.take n_outer v)
+                then
+                  let bv = Daisy_support.Util.drop n_outer v in
+                  match Test.src_executes_first bv with
+                  | Some true -> add bv
+                  | Some false -> if i <> j then add (flip bv)
+                  | None -> if i <> j then add bv)
+              (listed_comp_directions ~common:(outer @ band)
+                 (outer @ band @ inner_a, ca)
+                 (outer @ band @ inner_b, cb)))
+        indexed)
+    indexed;
+  !vectors
+
+(* The memo corpus as written and normalized, plus each normalized
+   PolyBench nest tiled by 8 on its whole band: a tiled 3-deep band has
+   6 loops, so its non-affine pairs answer all 729 vectors. *)
+let test_hashed_dedup () =
+  let tiled =
+    List.filter_map
+      (function
+        | Ir.Nloop l -> (
+            let band, _ = Legality.perfect_band l in
+            match
+              Recipe.apply ~outer:[] l
+                [ Recipe.Tile (List.mapi (fun p _ -> (p, 8)) band) ]
+            with
+            | Ok l' -> Some [ Ir.Nloop l' ]
+            | Error _ -> None)
+        | _ -> None)
+      (List.concat_map
+         (fun b -> (Pipeline.normalize (Pb.program b)).Ir.body)
+         Pb.all)
+  in
+  let bodies =
+    List.concat_map
+      (fun (_, programs) -> List.map (fun (p : Ir.program) -> p.Ir.body) programs)
+      (memo_corpus ())
+    @ tiled
+  in
+  let widest = ref 0 in
+  List.iter
+    (fun nodes ->
+      List.iter
+        (fun (outer, l) ->
+          let band, body = Legality.perfect_band l in
+          if
+            Legality.band_dep_vectors ~outer band body
+            <> listed_band_dep_vectors ~outer band body
+          then
+            Alcotest.failf "band vectors of loop %s differ from the list-based ones"
+              l.Ir.iter;
+          let common = outer @ band in
+          let comps = Ir.comps_with_context body in
+          List.iter
+            (fun (ia, ca) ->
+              List.iter
+                (fun (ib, cb) ->
+                  let a = (common @ ia, ca) and b = (common @ ib, cb) in
+                  let vs = Test.comp_directions ~common a b in
+                  widest := max !widest (List.length vs);
+                  if vs <> listed_comp_directions ~common a b then
+                    Alcotest.failf
+                      "computation vectors under loop %s differ from the \
+                       list-based ones"
+                      l.Ir.iter)
+                comps)
+            comps)
+        (loops_with_outer ~outer:[] nodes))
+    bodies;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d tiled nests; a computation pair reaches %d vectors"
+       (List.length tiled) !widest)
+    true (!widest >= 729)
+
 let suite =
   [
     ("memo: warm equals fresh", `Quick, test_memo_warm_equals_fresh);
     ("memo: collision probes", `Quick, test_memo_collision_probes);
     ("memo: pipeline warm equals cleared", `Quick, test_memo_pipeline);
+    ("hashed dedup: same vectors, same order", `Quick, test_hashed_dedup);
     ("seidel-2d fully sequential", `Quick, test_seidel_fully_sequential);
     ("fastpath verdicts", `Quick, test_fastpath_verdicts);
     ("fastpath agrees with FM", `Quick, test_fastpath_agrees_with_fm);

@@ -81,6 +81,51 @@ let test_canon_distinguishes () =
   Alcotest.(check bool) "different access pattern differs" false
     (Ir.equal_structure gemm.Ir.body transposed.Ir.body)
 
+(* Equality up to node ids: what the transfer tournament skips on *)
+let test_equal_up_to_ids () =
+  let nest = match gemm.Ir.body with [ Ir.Nloop l ] -> l | _ -> assert false in
+  let module Recipe = Daisy_transforms.Recipe in
+  let apply r =
+    match Recipe.apply ~outer:[] nest r with
+    | Ok l -> [ Ir.Nloop l ]
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "a nest equals its Recipe.apply [] copy" true
+    (Ir.equal_up_to_ids gemm.Ir.body (apply []));
+  (* a vectorizing step rebuilds the band with fresh lids *)
+  let v1 = apply [ Recipe.Vectorize ] and v2 = apply [ Recipe.Vectorize; Recipe.Vectorize ] in
+  Alcotest.(check bool) "the two vectorized nests have different lids" false
+    (List.map (fun (l : Ir.loop) -> l.Ir.lid) (Ir.loops_in v1)
+    = List.map (fun (l : Ir.loop) -> l.Ir.lid) (Ir.loops_in v2));
+  Alcotest.(check bool) "[vectorize] equals [vectorize; vectorize]" true
+    (Ir.equal_up_to_ids v1 v2);
+  Alcotest.(check bool) "the vectorized nest differs from the nest" false
+    (Ir.equal_up_to_ids gemm.Ir.body v1);
+  (* one computation twice, against two copies of it: the trace walk
+     memoizes the first per cid, so they simulate differently *)
+  let c = List.hd (Ir.comps_in gemm.Ir.body) in
+  let c' = { c with Ir.cid = Ir.fresh_id () } in
+  let loop body = [ Ir.Nloop { nest with Ir.body } ] in
+  let shared = loop [ Ir.Ncomp c; Ir.Ncomp c ] and copied = loop [ Ir.Ncomp c; Ir.Ncomp c' ] in
+  Alcotest.(check bool) "canonical forms agree" true (Ir.equal_structure shared copied);
+  Alcotest.(check bool) "a shared cid is not two cids" false (Ir.equal_up_to_ids shared copied);
+  Alcotest.(check bool) "nor the other way" false (Ir.equal_up_to_ids copied shared);
+  let l = { nest with Ir.body = [ Ir.Ncomp c ] } in
+  let l' = { l with Ir.lid = Ir.fresh_id () } in
+  Alcotest.(check bool) "a shared lid is not two lids" false
+    (Ir.equal_up_to_ids (loop [ Ir.Nloop l; Ir.Nloop l ]) (loop [ Ir.Nloop l; Ir.Nloop l' ]));
+  let renamed =
+    lower
+      {|void f(int n, double C[n][n], double A[n][n], double B[n][n]) {
+          for (int p = 0; p < n; p++)
+            for (int q = 0; q < n; q++)
+              for (int r = 0; r < n; r++)
+                C[p][r] += A[p][q] * B[q][r];
+        }|}
+  in
+  Alcotest.(check bool) "renamed iterators are not equal" false
+    (Ir.equal_up_to_ids gemm.Ir.body renamed.Ir.body)
+
 let test_flops () =
   match Ir.comps_in gemm.Ir.body with
   | [ c ] ->
@@ -166,6 +211,7 @@ let suite =
     ("subtree substitution", `Quick, test_subst_idx_nodes);
     ("canon rename-invariant", `Quick, test_canon_rename_invariance);
     ("canon distinguishes patterns", `Quick, test_canon_distinguishes);
+    ("equal up to ids", `Quick, test_equal_up_to_ids);
     ("flop counting", `Quick, test_flops);
     ("printer stability", `Quick, test_printer_roundtrip_stability);
     ("schedulable units: leaf", `Quick, test_schedulable_units_leaf);

@@ -277,6 +277,275 @@ let test_umbrella_compile () =
     (Interp.equivalent result.Daisy.original result.Daisy.scheduled
        ~sizes:[ ("n", 8) ] ())
 
+(* ------------------------------------------------------------------ *)
+(* The transfer tournament costs each distinct candidate once           *)
+
+module Lt = Daisy_transforms.Loop_transforms
+module Recipe = Daisy_transforms.Recipe
+module Legality = Daisy_dependence.Legality
+module Pb = Daisy_benchmarks.Polybench
+module Cloudsc = Daisy_benchmarks.Cloudsc
+module Cost = Daisy_machine.Cost
+module Fault = Daisy_support.Fault
+
+(* a copy with cids, lids and kids each renumbered by first occurrence *)
+let renumbered nodes =
+  let numbering () =
+    let t = Hashtbl.create 16 in
+    fun id ->
+      match Hashtbl.find_opt t id with
+      | Some n -> n
+      | None ->
+          let n = Hashtbl.length t + 1 in
+          Hashtbl.add t id n;
+          n
+  in
+  let cid = numbering () and lid = numbering () and kid = numbering () in
+  let rec go nodes =
+    List.map
+      (function
+        | Ir.Ncomp c -> Ir.Ncomp { c with Ir.cid = cid c.Ir.cid }
+        | Ir.Ncall k -> Ir.Ncall { k with Ir.kid = kid k.Ir.kid }
+        | Ir.Nloop l ->
+            let lid = lid l.Ir.lid in
+            Ir.Nloop { l with Ir.lid; body = go l.Ir.body })
+      nodes
+  in
+  go nodes
+
+(* [Daisy.schedule] with default options and no quarantine, as it was
+   before repeats were skipped: every candidate is costed, and the BLAS
+   path costs the transfer winner again. It counts the candidates it costs
+   and how many of them are distinct (on renumbered copies), the BLAS
+   races it runs and how many of them the transfer path wins. *)
+module Reference = struct
+  let costed = ref 0
+  let distinct = ref 0
+  let idioms = ref 0
+  let transfer_wins = ref 0
+
+  let transfer_nest ctx ~db ~outer p (nest : Ir.loop) =
+    let candidates =
+      Daisy_support.Util.dedup ~eq:Recipe.equal
+        (List.map (fun e -> e.S.Database.recipe) (S.Database.exact_matches db nest)
+        @ List.map (fun (_, e) -> e.S.Database.recipe) (S.Database.query db ~k:10 nest))
+    in
+    let baseline =
+      (nest, `Unoptimized)
+      :: (match Lt.vectorize ~outer nest with Ok n -> [ (n, `Unoptimized) ] | Error _ -> [])
+    in
+    let applied =
+      List.filter_map
+        (fun r ->
+          match Recipe.apply ~outer nest r with
+          | Ok n -> Some (n, `Recipe r)
+          | Error _ -> None)
+        candidates
+    in
+    let all = baseline @ applied in
+    let units = List.map (fun (n, _) -> S.Common.wrap_outer outer (Ir.Nloop n)) all in
+    costed := !costed + List.length units;
+    distinct :=
+      !distinct + List.length (List.sort_uniq compare (List.map (fun u -> renumbered [ u ]) units));
+    let _, n, a =
+      List.fold_left2
+        (fun ((bt, _, _) as best) (n, a) u ->
+          let t = S.Common.nest_runtime_ms ctx p u in
+          if t < bt then (t, n, a) else best)
+        (infinity, nest, (`Unoptimized : S.Daisy.action))
+        all units
+    in
+    (n, a)
+
+  let rec optimize_nest ctx ~db ~decide ~counter ~outer sub (nest : Ir.loop) =
+    let band, body = Legality.perfect_band nest in
+    let has_comp = List.exists (function Ir.Nloop _ -> false | _ -> true) body in
+    if List.exists (function Ir.Nloop _ -> true | _ -> false) body && not has_comp
+    then
+      Daisy_normalize.Stride.rebuild_band band
+        (List.map
+           (function
+             | Ir.Nloop l ->
+                 Ir.Nloop (optimize_nest ctx ~db ~decide ~counter ~outer:(outer @ band) sub l)
+             | other -> other)
+           body)
+    else begin
+      incr counter;
+      let label = Printf.sprintf "nest#%d" !counter in
+      let nest', action = transfer_nest ctx ~db ~outer sub nest in
+      decide label action;
+      nest'
+    end
+
+  let schedule_unit ctx ~db ~decide ~counter sub (nest : Ir.loop) =
+    match Daisy_blas.Patterns.detect_nest nest with
+    | None -> Ir.Nloop (optimize_nest ctx ~db ~decide ~counter ~outer:[] sub nest)
+    | Some call ->
+        incr idioms;
+        let t_call = S.Common.nest_runtime_ms ctx sub (Ir.Ncall call) in
+        let silent = ref [] and counter' = ref !counter in
+        let node =
+          Ir.Nloop
+            (optimize_nest ctx ~db
+               ~decide:(fun l a -> silent := (l, a) :: !silent)
+               ~counter:counter' ~outer:[] sub nest)
+        in
+        if t_call <= S.Common.nest_runtime_ms ctx sub node then begin
+          incr counter;
+          decide (Printf.sprintf "nest#%d" !counter) (`Blas call.Ir.kernel);
+          Ir.Ncall call
+        end
+        else begin
+          incr transfer_wins;
+          counter := !counter';
+          List.iter (fun (l, a) -> decide l a) (List.rev !silent);
+          node
+        end
+
+  let unliftable_fallback (nest : Ir.loop) =
+    let atomic =
+      List.exists Legality.is_reduction_comp (Ir.comps_in nest.Ir.body)
+      || List.exists Legality.is_reduction_comp
+           (match nest.Ir.body with [ Ir.Ncomp c ] -> [ c ] | _ -> [])
+    in
+    Ir.Nloop { nest with Ir.attrs = { nest.Ir.attrs with Ir.parallel = true; atomic } }
+
+  (* decisions as [pp_decision] prints them, the program, its cost *)
+  let schedule ctx ~db (p : Ir.program) =
+    let decisions = ref [] and counter = ref 0 and extra = ref [] in
+    let decide label action =
+      decisions := Fmt.str "%a" S.Daisy.pp_decision { S.Daisy.label; action } :: !decisions
+    in
+    let body =
+      List.concat_map
+        (fun n ->
+          match n with
+          | Ir.Nloop nest when not (S.Common.liftable n) ->
+              incr counter;
+              decide (Printf.sprintf "nest#%d" !counter) `Unliftable;
+              [ unliftable_fallback nest ]
+          | Ir.Nloop _ ->
+              let sub =
+                Daisy_normalize.Pipeline.normalize ~sizes:ctx.S.Common.sizes
+                  (S.Common.single_nest_program p n)
+              in
+              List.iter
+                (fun (a : Ir.array_decl) ->
+                  if not (List.exists (fun (b : Ir.array_decl) -> b.Ir.name = a.Ir.name) p.Ir.arrays)
+                  then extra := a :: !extra)
+                sub.Ir.arrays;
+              List.map
+                (function
+                  | Ir.Ncall k as n ->
+                      incr counter;
+                      decide (Printf.sprintf "nest#%d" !counter) (`Blas k.Ir.kernel);
+                      n
+                  | Ir.Nloop nest -> schedule_unit ctx ~db ~decide ~counter sub nest
+                  | n -> n)
+                sub.Ir.body
+          | other -> [ other ])
+        p.Ir.body
+    in
+    let program = { p with Ir.body; arrays = p.Ir.arrays @ List.rev !extra } in
+    (List.rev !decisions, program, S.Common.runtime_ms ctx program)
+end
+
+(* Recipes that rebuild a nest already among the candidates: [] is the
+   nest as-is, the two vectorizing ones give the auto-vectorized nest, and
+   the last two give one nest. *)
+let repeating_recipes =
+  Recipe.
+    [
+      [];
+      [ Vectorize ];
+      [ Vectorize; Vectorize ];
+      [ Parallelize 0; Vectorize ];
+      [ Parallelize 0; Vectorize; Parallelize 0 ];
+    ]
+
+let repeating_db programs =
+  let db = S.Database.create () in
+  List.iter
+    (fun ((p : Ir.program), sizes) ->
+      List.iter
+        (function
+          | Ir.Nloop nest ->
+              List.iter
+                (fun recipe -> S.Database.add db ~source:"repeats" ~nest ~recipe)
+                repeating_recipes
+          | _ -> ())
+        (Daisy_normalize.Pipeline.normalize ~sizes p).Ir.body)
+    programs;
+  db
+
+let erosion_read =
+  (Cloudsc.lower Cloudsc.erosion_source, [ ("klev", 16); ("nproma", 32) ])
+
+(* daisyd's thread count and sampling bound: with them the transfer path
+   wins some races against a BLAS call even at test sizes *)
+let request_base = S.Common.make_ctx ~threads:12 ~sample_outer:12 ~sizes:[] ()
+let approx = Cost.Approx Daisy_machine.Trace_bc.default_approx
+
+let test_skip_repeats_differential () =
+  let programs =
+    List.concat_map
+      (fun (b : Pb.benchmark) ->
+        let p = Pb.program b in
+        [ (p, b.Pb.test_sizes);
+          (Daisy_benchmarks.Variants.generate ~seed:"repeats" p, b.Pb.test_sizes) ])
+      Pb.all
+    @ [ erosion_read ]
+  in
+  let db = repeating_db programs in
+  Reference.idioms := 0;
+  Reference.transfer_wins := 0;
+  List.iter
+    (fun ((p : Ir.program), sizes) ->
+      List.iter
+        (fun engine ->
+          let what = Printf.sprintf "%s (%s)" p.Ir.pname (Cost.string_of_engine engine) in
+          let decisions, program, cost =
+            Reference.schedule (S.Common.request_ctx request_base ~engine ~sizes ()) ~db p
+          in
+          let o = S.Daisy.schedule_request ~base:request_base ~engine ~sizes ~db p in
+          let r = o.S.Daisy.report in
+          Alcotest.(check (list string)) (what ^ ": decisions") decisions
+            (List.map (Fmt.str "%a" S.Daisy.pp_decision) r.S.Daisy.decisions);
+          Alcotest.(check bool) (what ^ ": program") true
+            (Ir.equal_structure program.Ir.body r.S.Daisy.program.Ir.body);
+          Alcotest.(check string) (what ^ ": predicted cost")
+            (Printf.sprintf "%h" cost) (Printf.sprintf "%h" o.S.Daisy.predicted_ms))
+        [ Cost.Bytecode; approx ])
+    programs;
+  Alcotest.(check bool)
+    (Printf.sprintf "the transfer path won %d of %d races against a BLAS call"
+       !Reference.transfer_wins !Reference.idioms)
+    true (!Reference.transfer_wins > 0 && !Reference.transfer_wins < !Reference.idioms)
+
+(* [bc_run] armed with a trigger that never fires counts trace walks: one
+   per distinct candidate of each tournament, plus the final cost *)
+let test_walks_distinct_candidates () =
+  let p, sizes = erosion_read in
+  let db = repeating_db [ erosion_read ] in
+  Reference.costed := 0;
+  Reference.distinct := 0;
+  Reference.idioms := 0;
+  ignore (Reference.schedule (S.Common.request_ctx request_base ~engine:approx ~sizes ()) ~db p);
+  Alcotest.(check int) "erosion has no BLAS idiom" 0 !Reference.idioms;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d candidates are distinct" !Reference.distinct !Reference.costed)
+    true (!Reference.distinct < !Reference.costed);
+  Fault.arm_prob "bc_run" ~p:0.0 ~seed:"walks";
+  let walks =
+    Fun.protect
+      ~finally:(fun () -> Fault.disarm "bc_run")
+      (fun () ->
+        ignore (S.Daisy.schedule_request ~base:request_base ~engine:approx ~sizes ~db p);
+        Fault.calls "bc_run")
+  in
+  Alcotest.(check int) "trace walks: distinct candidates + the final cost"
+    (!Reference.distinct + 1) walks
+
 let suite =
   [
     ("umbrella Daisy.compile", `Slow, test_umbrella_compile);
@@ -295,4 +564,8 @@ let suite =
     ("daisy A/B robustness mini", `Slow, test_daisy_robustness_mini);
     ("daisy unliftable fallback", `Quick, test_daisy_unliftable_fallback);
     ("daisy ablation configs", `Slow, test_daisy_ablation_configs);
+    ("skip repeats: same schedules as costing all", `Quick,
+      test_skip_repeats_differential);
+    ("skip repeats: one walk per distinct candidate", `Quick,
+      test_walks_distinct_candidates);
   ]

@@ -70,13 +70,18 @@ let test_config ?(jobs = 2) ?(queue = 8) ?(degrade_depth = 1000)
 
 (** Run [f address] against a live server; shuts the server down through
     the protocol [shutdown] verb afterwards (exercising the drain path
-    on every test). *)
+    on every test). The shutdown is retried while the server sheds it
+    as [busy], and a server that has not stopped within 30 s fails the
+    test instead of hanging the suite. *)
 let with_server config f =
   let address = config.Server.address in
-  let ready = Atomic.make false in
+  let ready = Atomic.make false and stopped = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
-        Server.run ~on_ready:(fun () -> Atomic.set ready true) config)
+        Fun.protect
+          ~finally:(fun () -> Atomic.set stopped true)
+          (fun () ->
+            Server.run ~on_ready:(fun () -> Atomic.set ready true) config))
   in
   let deadline = Util.monotonic_s () +. 10.0 in
   while (not (Atomic.get ready)) && Util.monotonic_s () < deadline do
@@ -84,14 +89,32 @@ let with_server config f =
   done;
   Alcotest.(check bool) "server came up" true (Atomic.get ready);
   let result =
-    Fun.protect
-      ~finally:(fun () ->
-        (try Client.with_connection address Client.shutdown
-         with _ -> ());
-        ignore (Domain.join d))
-      (fun () -> f address)
+    try Ok (f address) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  result
+  let deadline = Util.monotonic_s () +. 30.0 in
+  let rec shut_down () =
+    match Client.with_connection address Client.shutdown with
+    | () -> ()
+    | exception Client.Server_error (P.Busy, _)
+      when Util.monotonic_s () < deadline ->
+        Unix.sleepf 0.05;
+        shut_down ()
+    | exception _ -> ()
+  in
+  shut_down ();
+  while (not (Atomic.get stopped)) && Util.monotonic_s () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get stopped) then
+    Alcotest.failf "daisyd at %s did not stop within 30 s of its shutdown%s"
+      (Server.string_of_address address)
+      (match result with
+      | Ok _ -> ""
+      | Error (e, _) -> "; the test had raised " ^ Printexc.to_string e);
+  ignore (Domain.join d);
+  match result with
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (** Raw connected socket, for speaking garbage at the server. *)
 let raw_connect address =
