@@ -158,15 +158,6 @@ let db_in_arg =
                $(b,daisyc seed) instead of seeding it from the input \
                kernel. Corrupt entries are skipped with a warning.")
 
-let index_arg =
-  Arg.(value & flag & info [ "index" ]
-         ~doc:"With $(b,--db-in) $(i,FILE): query the database through a \
-               persisted ANN index at $(i,FILE)$(b,.ann), building it \
-               automatically when missing, corrupt or stale (the index \
-               stores a fingerprint of the database contents). Results \
-               are bit-identical to the linear scan; see \
-               docs/performance.md.")
-
 let eval_deadline_arg =
   Arg.(value & opt (some float) None & info [ "eval-deadline" ] ~docv:"SEC"
          ~doc:"Per-candidate wall-clock deadline for search evaluation, in \
@@ -294,7 +285,7 @@ let normalize_cmd =
 
 let schedule_cmd =
   let run file defs threads jobs sample_outer engine interp_engine dump_bc
-      eval_budget eval_deadline db_in index checkpoint resume quarantine_dir =
+      eval_budget eval_deadline db_in checkpoint resume quarantine_dir =
     let p = load file in
     run_protected (fun () ->
         Daisy.Interp.Interp.default_engine := interp_engine;
@@ -322,18 +313,6 @@ let schedule_cmd =
                     [ (p.Ir.pname, p) ]);
               db
         in
-        (match (index, db_in) with
-        | false, _ -> ()
-        | true, None ->
-            Fmt.epr "daisyc: warning: --index has no effect without --db-in@."
-        | true, Some path -> (
-            let ann_path = path ^ ".ann" in
-            match S.Database.load_index db ann_path with
-            | Ok desc -> Fmt.pr "ann index: loaded (%s)@." desc
-            | Error reason ->
-                Fmt.pr "ann index: rebuilding (%s)@." reason;
-                let desc = S.Database.rebuild_index db ann_path in
-                Fmt.pr "ann index: built (%s) -> %s@." desc ann_path));
         let report = S.Daisy.schedule ?quarantine ctx ~db p in
         Option.iter Daisy.Support.Checkpoint.delete journal;
         report_quarantine quarantine;
@@ -360,7 +339,7 @@ let schedule_cmd =
     (Cmd.info "schedule" ~doc:"Normalize, auto-schedule and simulate a kernel")
     Term.(const run $ file_arg $ defines_arg $ threads_arg $ jobs_arg
           $ sample_outer_arg $ engine_arg $ interp_engine_arg $ dump_bc_arg
-          $ eval_budget_arg $ eval_deadline_arg $ db_in_arg $ index_arg
+          $ eval_budget_arg $ eval_deadline_arg $ db_in_arg
           $ checkpoint_arg $ resume_arg $ quarantine_arg)
 
 let seed_cmd =
@@ -454,8 +433,8 @@ let seed_cmd =
   let shard_out_arg =
     Arg.(value & opt (some string) None & info [ "shard-out" ] ~docv:"DIR"
            ~doc:"Write (or merge into) a sharded warm store at $(docv): \
-                 per-shard segments + ANN sidecars under a checksummed \
-                 manifest with a write-ahead log. An existing store is \
+                 per-shard segments under a checksummed manifest with a \
+                 write-ahead log. An existing store is \
                  appended to through its WAL and compacted — only the \
                  affected shards are rewritten. See docs/robustness.md, \
                  \"Sharded warm store\".")

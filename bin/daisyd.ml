@@ -40,9 +40,9 @@ let tcp_arg =
 let db_arg =
   Arg.(value & opt (some file) None & info [ "db" ] ~docv:"PATH"
          ~doc:"Warm store: either a transfer-tuning database file written \
-               by $(b,daisyc seed --db-out) (a $(i,PATH)$(b,.ann) sidecar \
-               is attached when present and valid), or a sharded store \
-               directory written by $(b,daisyc seed --shard-out). The \
+               by $(b,daisyc seed --db-out) (indexed in memory at load), \
+               or a sharded store directory written by \
+               $(b,daisyc seed --shard-out). The \
                daemon re-checks it about once a second; a file swaps in \
                whole, a sharded store hot-reloads at per-shard \
                granularity and is background-compacted and scrubbed (see \
@@ -56,7 +56,7 @@ let compact_depth_arg =
 let scrub_interval_arg =
   Arg.(value & opt float 0.0 & info [ "scrub-interval" ] ~docv:"SEC"
          ~doc:"Sharded store only: background-scrub every $(docv) seconds, \
-               verifying segment checksums and ANN sidecars and repairing \
+               verifying segment checksums and repairing \
                quarantined shards (0 disables).")
 
 let jobs_arg =

@@ -366,21 +366,17 @@ let load (path : string) : t * string list =
   (make (List.rev !entries), List.rev !warnings)
 
 (* ------------------------------------------------------------------ *)
-(* Sub-linear queries: an optional ANN index over the entries.
+(* Sub-linear queries: an optional in-memory ANN index over the entries.
 
    The index is a pure accelerator — [query]'s results are bit-identical
    with and without it (Ann's contract is exact top-k agreement with
-   [Embedding.nearest_by], tie order included). Staleness is detected by
-   a fingerprint of the database contents; any mutation ([add]/[merge])
-   detaches an attached index. A corrupt index never fails a query: the
-   first page that misses its checksum detaches the index, emits one
-   warning, bumps {!index_fallbacks}, and the query re-runs as a scan. *)
+   [Embedding.nearest_by], tie order included). Any mutation
+   ([add]/[merge]) detaches it. *)
 
 (** Fingerprint of the database contents: the checksum of every entry's
     serialized body, in order. [save]/[load] round-trip entries exactly
-    ([%h] floats), so the fingerprint survives persistence — an index
-    built before a save still attaches after the reload. Memoized:
-    loading a segment and attaching its index pay for one pass. *)
+    ([%h] floats), so the fingerprint survives persistence. Memoized:
+    a hot reload and a shard's segment check pay for one pass. *)
 let fingerprint (db : t) : string =
   let m = db.memo in
   match (db.backend, m.fp) with
@@ -410,63 +406,13 @@ let bounds (db : t) : (float array * float array) option =
       m.bounds <- Some (lo, hi);
       Some (lo, hi)
 
-let index_fallback_count = Atomic.make 0
-
-let index_fallbacks () = Atomic.get index_fallback_count
-let reset_index_fallbacks () = Atomic.set index_fallback_count 0
-
 let has_index db = db.index <> None
-let detach_index db = db.index <- None
-
-let index_description db =
-  Option.map (fun (ann, _) -> Ann.describe ann) db.index
 
 let build_index (db : t) : unit =
   read_only db "build_index";
   let arr = Array.of_list db.entries in
-  let ann =
-    Ann.build ~fingerprint:(fingerprint db) ~dim:Embedding.dim
-      (Array.map (fun e -> e.embedding) arr)
-  in
+  let ann = Ann.build ~dim:Embedding.dim (Array.map (fun e -> e.embedding) arr) in
   db.index <- Some (ann, arr)
-
-let save_index (db : t) (path : string) : unit =
-  match db.index with
-  | None -> invalid_arg "Database.save_index: no index attached"
-  | Some (ann, _) -> Ann.save ann path
-
-(** [load_index db path] — attach a persisted index to [db].
-    [Ok description] on success; [Error reason] when the file is
-    missing, corrupt, a different version, or stale (its stored
-    fingerprint differs from [fingerprint db]) — the caller decides
-    whether to rebuild or just scan. *)
-let load_index (db : t) (path : string) : (string, string) result =
-  read_only db "load_index";
-  match Ann.load ~path ~fingerprint:(fingerprint db) with
-  | Error m -> Error m
-  | Ok ann ->
-      if Ann.n ann <> size db then
-        Error
-          (Printf.sprintf "%s: index covers %d entries, database has %d" path
-             (Ann.n ann) (size db))
-      else begin
-        db.index <- Some (ann, Array.of_list db.entries);
-        Ok (Ann.describe ann)
-      end
-
-(** [rebuild_index db path] — build a fresh index over the current
-    contents, persist it atomically at [path], attach it, and return its
-    description. *)
-let rebuild_index (db : t) (path : string) : string =
-  build_index db;
-  match db.index with
-  | Some (ann, _) ->
-      Ann.save ann path;
-      Ann.describe ann
-  | None -> assert false
-
-let scan db ~k (q : Embedding.t) : (float * entry) list =
-  Embedding.nearest_by ~embed:(fun e -> e.embedding) k db.entries q
 
 (** [query_embedding db ~k q] — the [k] entries nearest to [q] in
     embedding space (closest first): through the ANN index when one is
@@ -475,20 +421,12 @@ let scan db ~k (q : Embedding.t) : (float * entry) list =
 let query_embedding (db : t) ~k (q : Embedding.t) : (float * entry) list =
   if k <= 0 then []
   else
-    match db.backend with
-    | Some b -> b.b_query ~k q
-    | None -> (
-    match db.index with
-    | None -> scan db ~k q
-    | Some (ann, arr) -> (
-        try List.map (fun (d, i) -> (d, arr.(i))) (Ann.query ann ~k q)
-        with Ann.Corrupt m ->
-          Atomic.incr index_fallback_count;
-          db.index <- None;
-          Fmt.epr "%a@." Diag.pp
-            (Diag.make ~severity:Diag.Warn
-               "ann index unusable (%s) — falling back to linear scan" m);
-          scan db ~k q))
+    match (db.backend, db.index) with
+    | Some b, _ -> b.b_query ~k q
+    | None, Some (ann, arr) ->
+        List.map (fun (d, i) -> (d, arr.(i))) (Ann.query ann ~k q)
+    | None, None ->
+        Embedding.nearest_by ~embed:(fun e -> e.embedding) k db.entries q
 
 (** [query db ~k nest] — the [k] entries nearest to [nest] in embedding
     space (closest first). *)

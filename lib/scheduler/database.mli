@@ -34,7 +34,7 @@ val of_entries : entry list -> t
 
 val of_backend : backend -> t
 (** A read-only handle delegating to [backend]. Mutations ([add],
-    [merge]) and index management raise [Invalid_argument]. *)
+    [merge]) and {!build_index} raise [Invalid_argument]. *)
 
 val is_backed : t -> bool
 
@@ -74,8 +74,8 @@ val better_cost : float -> float -> bool
 
 val query : t -> k:int -> Daisy_loopir.Ir.loop -> (float * entry) list
 (** The [k] nearest entries in embedding space, closest first. Runs
-    through the ANN index when one is attached (see {!build_index} /
-    {!load_index}), as a linear scan otherwise — with bit-identical
+    through the in-memory ANN index when one is attached (see
+    {!build_index}), as a linear scan otherwise — with bit-identical
     results either way (exact top-k agreement, tie order included). *)
 
 val query_embedding : t -> k:int -> Daisy_embedding.Embedding.t -> (float * entry) list
@@ -83,9 +83,9 @@ val query_embedding : t -> k:int -> Daisy_embedding.Embedding.t -> (float * entr
 
 val fingerprint : t -> string
 (** FNV-1a-64 fingerprint of the database contents (every entry's
-    serialized body, in order) — the staleness rule for persisted ANN
-    indexes. Survives a {!save}/{!load} round-trip. Computed once and
-    kept until the next {!add}/{!merge}. *)
+    serialized body, in order) — the warm store's hot-reload and
+    segment-integrity rule. Survives a {!save}/{!load} round-trip.
+    Computed once and kept until the next {!add}/{!merge}. *)
 
 val bounds : t -> (float array * float array) option
 (** The bounding box [(lo, hi)] of the entries' embeddings, [None] when
@@ -95,38 +95,10 @@ val bounds : t -> (float array * float array) option
 val build_index : t -> unit
 (** Build and attach an in-memory ANN index (the bucket k-d tree of
     {!Daisy_embedding.Ann}) over the current entries. The index is a
-    pure accelerator: {!query} results do not change.
-    Any later {!add}/{!merge} detaches it. *)
-
-val save_index : t -> string -> unit
-(** Persist the attached index atomically ([DAISYANN 1] format).
-    Raises [Invalid_argument] if no index is attached. *)
-
-val load_index : t -> string -> (string, string) result
-(** [load_index db path] — attach a persisted index (paged: entry
-    vectors load lazily per query). [Ok description] on success;
-    [Error reason] when the file is missing, corrupt, a different
-    version, stale ({!fingerprint} mismatch), or names an index
-    structure other than the k-d tree; the queries then scan, and
-    {!rebuild_index} replaces the file. A page corruption
-    discovered later, mid-query, is also safe: the query falls back to
-    the linear scan with one warning (see {!index_fallbacks}). *)
-
-val rebuild_index : t -> string -> string
-(** Build a fresh index, persist it at the given path, attach it, and
-    return its description. *)
+    pure accelerator: {!query} results do not change. It is never
+    written to disk. Any later {!add}/{!merge} detaches it. *)
 
 val has_index : t -> bool
-val detach_index : t -> unit
-
-val index_description : t -> string option
-(** Description of the attached index, if any. *)
-
-val index_fallbacks : unit -> int
-(** Process-wide count of queries that hit a corrupt index and fell
-    back to the linear scan. *)
-
-val reset_index_fallbacks : unit -> unit
 
 val exact_matches : t -> Daisy_loopir.Ir.loop -> entry list
 (** Entries whose normalized structure is identical — exact transfer

@@ -318,7 +318,7 @@ let seed_database ?(epochs = 3) ?(population = 8) ?(iterations = 3) ?pool
         else begin
           let arr = Array.of_list snapshot in
           let ann =
-            Ann.build ~fingerprint:"" ~dim:Embedding.dim
+            Ann.build ~dim:Embedding.dim
               (Array.map (fun (_, emb, _) -> emb) arr)
           in
           fun st ->

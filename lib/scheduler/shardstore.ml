@@ -6,8 +6,10 @@
     MANIFEST              DAISYMAN 1: checksummed shard map + routing tree
     wal.log               DAISYWAL 1: checksummed append records
     shard-<id>-g<G>.db    immutable DAISYDB segment (generation G)
-    shard-<id>-g<G>.db.ann  DAISYANN sidecar for that segment
     v}
+
+    Shards carry no index: a query visits shards best-bin-first by
+    their bounding boxes and scans each visited shard's entries.
 
     Entries partition by embedding region: a k-d tree of median splits
     (widest-spread dimension first, the same ranking key discipline as
@@ -58,16 +60,14 @@ let wal_magic = "DAISYWAL 1"
 let wal_header = wal_magic ^ "\n"
 let default_shard_cap = 512
 
-(* process-wide counter of ANN sidecar builds — the incremental-rebuild
-   assertion: an append + compact touching one shard must bump this by
-   exactly the number of shards rewritten, not the shard count *)
-let ann_build_count = Atomic.make 0
-let ann_builds () = Atomic.get ann_build_count
-let reset_ann_builds () = Atomic.set ann_build_count 0
-
 let quarantine_count = Atomic.make 0
 let quarantines () = Atomic.get quarantine_count
 let reset_quarantines () = Atomic.set quarantine_count 0
+
+(* shards scanned by [query_embedding], across every store *)
+let visit_count = Atomic.make 0
+let visits () = Atomic.get visit_count
+let reset_visits () = Atomic.set visit_count 0
 
 (* ------------------------------------------------------------------ *)
 (* Routing tree *)
@@ -205,7 +205,6 @@ type shard = {
   sid : int;
   mutable file : string;  (** segment basename *)
   mutable fp : string;  (** segment content fingerprint per manifest *)
-  mutable ann_file : string option;
   mutable declared : int;  (** entry count per manifest *)
   mutable db : Database.t;  (** committed entries (immutable segment) *)
   mutable pending : Database.entry list;  (** WAL entries, chronological *)
@@ -281,8 +280,9 @@ let manifest_body t : string list =
   @ [ Printf.sprintf "shards %d" (List.length t.shards) ]
   @ List.map
       (fun sh ->
-        Printf.sprintf "shard %d %d %s %s %s" sh.sid sh.declared sh.fp sh.file
-          (Option.value sh.ann_file ~default:"-"))
+        (* the sixth column named a per-shard index file in older
+           stores; writing "-" keeps the format DAISYMAN 1 *)
+        Printf.sprintf "shard %d %d %s %s -" sh.sid sh.declared sh.fp sh.file)
       t.shards
 
 let write_manifest ?fault_label t : unit =
@@ -301,8 +301,7 @@ type man = {
   m_compacted : float;
   m_scrubbed : float;
   m_tree : tree;
-  m_shards : (int * int * string * string * string option) list;
-      (** id, entries, fp, file, ann *)
+  m_shards : (int * int * string * string) list;  (** id, entries, fp, file *)
   m_ck : string;
 }
 
@@ -370,14 +369,11 @@ let read_manifest (path : string) : man =
         List.map
           (fun l ->
             match String.split_on_char ' ' l with
-            | [ "shard"; id; cnt; fp; file; ann ] -> (
+            | [ "shard"; id; cnt; fp; file; _ ] -> (
+                (* the sixth column named a per-shard index file in
+                   older stores; it is ignored *)
                 match (int_of_string_opt id, int_of_string_opt cnt) with
-                | Some id, Some cnt ->
-                    ( id,
-                      cnt,
-                      fp,
-                      file,
-                      if String.equal ann "-" then None else Some ann )
+                | Some id, Some cnt -> (id, cnt, fp, file)
                 | _ -> fail "malformed shard line %S" l)
             | _ -> fail "malformed shard line %S" l)
           body
@@ -543,11 +539,9 @@ let quarantine_shard t (sh : shard) (reason : string) : unit =
       t.dir sh.sid reason (Database.size sh.db)
   end
 
-(* Load a shard's segment (and sidecar) from disk into [sh.db]. Any
-   whole-file failure, per-entry corruption, or fingerprint mismatch
-   quarantines the shard — it keeps serving whatever loaded, by scan. A
-   bad sidecar alone never quarantines: the shard just loses its index
-   acceleration. *)
+(* Load a shard's segment from disk into [sh.db]. Any whole-file
+   failure, per-entry corruption, or fingerprint mismatch quarantines
+   the shard — it keeps serving whatever loaded. *)
 let load_segment t (sh : shard) : unit =
   let path = t.dir // sh.file in
   match Database.load path with
@@ -562,29 +556,16 @@ let load_segment t (sh : shard) : unit =
       else if not (String.equal fp sh.fp) then
         quarantine_shard t sh
           (Printf.sprintf "fingerprint mismatch (manifest %s, segment %s)"
-             sh.fp fp)
-      else
-        match sh.ann_file with
-        | None -> ()
-        | Some ann -> (
-            match Database.load_index db (t.dir // ann) with
-            | Ok _ -> ()
-            | Error reason ->
-                Diag.warn_throttled ~label:"shard_sidecar"
-                  "shardstore %s: shard %d sidecar unusable (%s); queries \
-                   fall back to scan"
-                  t.dir sh.sid reason))
+             sh.fp fp))
 
 (* Remove generation files no manifest entry references, plus crashed
    [atomic_write] temps ([<name>.tmp.<pid>]) — leftovers of a
-   compaction or repair that died before its manifest rename. Safe
-   against live readers: entries are always materialised in memory, so
-   yanking an old paged sidecar at worst downgrades an in-flight handle
-   to the scan path. *)
+   compaction or repair that died before its manifest rename — and the
+   [.db.ann] index files older stores kept beside each segment, which
+   no manifest references any more. Safe against live readers: entries
+   are always materialised in memory. *)
 let gc_orphans t : unit =
-  let live =
-    List.concat_map (fun sh -> [ sh.file; sh.file ^ ".ann" ]) t.shards
-  in
+  let live = List.map (fun sh -> sh.file) t.shards in
   let has_infix hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.equal (String.sub hay i nn) needle || go (i + 1)) in
@@ -668,20 +649,19 @@ let open_ ?(shard_cap = default_shard_cap) (dirname : string) : t =
   in
   t.shards <-
     List.map
-      (fun (sid, declared, fp, file, ann_file) ->
+      (fun (sid, declared, fp, file) ->
         let empty = Database.create () in
         {
           sid;
           file;
           fp;
-          ann_file;
           declared;
           db = empty;
           pending = [];
           view = empty;
           quarantined = false;
         })
-      (List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b) m.m_shards);
+      (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) m.m_shards);
   (* every tree leaf must resolve *)
   List.iter (fun id -> ignore (find_shard t id)) (tree_leaves t.tree);
   List.iter (fun sh -> load_segment t sh) t.shards;
@@ -690,24 +670,15 @@ let open_ ?(shard_cap = default_shard_cap) (dirname : string) : t =
   ignore (replay_wal ~truncate_tear:true t);
   t
 
-(* Write one shard's segment + sidecar for generation [gen]; returns the
-   updated (file, fp, ann_file, declared). [fault] names the injection
-   point fired before the segment write. *)
+(* Write one shard's segment for generation [gen]; returns the updated
+   (file, fp, declared). [fault] names the injection point fired before
+   the segment write. *)
 let write_segment t ~fault ~gen (sid : int) (db : Database.t) :
-    string * string * string option * int =
+    string * string * int =
   let file = seg_name ~sid ~gen in
   Fault.inject fault;
   Database.save db (t.dir // file);
-  let fp = Database.fingerprint db in
-  let ann_file =
-    if Database.size db = 0 then None
-    else begin
-      Atomic.incr ann_build_count;
-      ignore (Database.rebuild_index db (t.dir // (file ^ ".ann")));
-      Some (file ^ ".ann")
-    end
-  in
-  (file, fp, ann_file, Database.size db)
+  (file, Database.fingerprint db, Database.size db)
 
 (* Box bounds prune shards only over finite embeddings, and an entry
    must not reach the WAL or a segment it could not be read back from. *)
@@ -749,14 +720,13 @@ let create ?(shard_cap = default_shard_cap) ?(overwrite = false)
         let sdb =
           Database.of_entries (List.rev (Array.to_list es))
         in
-        let file, fp, ann_file, declared =
+        let file, fp, declared =
           write_segment t ~fault:"shard_compact" ~gen:t.gen sid sdb
         in
         {
           sid;
           file;
           fp;
-          ann_file;
           declared;
           db = sdb;
           pending = [];
@@ -832,7 +802,7 @@ let compact_locked ~now t : int =
                   (* an unsplittable oversized shard keeps its leaf *)
                   match parts with
                   | [ _ ] ->
-                      let file, fp, ann_file, declared =
+                      let file, fp, declared =
                         write_segment t ~fault:"shard_compact" ~gen sh.sid
                           folded
                       in
@@ -841,7 +811,6 @@ let compact_locked ~now t : int =
                           sh with
                           file;
                           fp;
-                          ann_file;
                           declared;
                           db = folded;
                           pending = [];
@@ -858,7 +827,7 @@ let compact_locked ~now t : int =
                             let sdb =
                               Database.of_entries (List.rev (Array.to_list es))
                             in
-                            let file, fp, ann_file, declared =
+                            let file, fp, declared =
                               write_segment t ~fault:"shard_compact" ~gen sid
                                 sdb
                             in
@@ -867,7 +836,6 @@ let compact_locked ~now t : int =
                               sid;
                               file;
                               fp;
-                              ann_file;
                               declared;
                               db = sdb;
                               pending = [];
@@ -879,7 +847,7 @@ let compact_locked ~now t : int =
                       (List.rev_append subs acc, sh :: removed)
                 end
                 else begin
-                  let file, fp, ann_file, declared =
+                  let file, fp, declared =
                     write_segment t ~fault:"shard_compact" ~gen sh.sid folded
                   in
                   incr rewritten;
@@ -887,7 +855,6 @@ let compact_locked ~now t : int =
                       sh with
                       file;
                       fp;
-                      ann_file;
                       declared;
                       db = folded;
                       pending = [];
@@ -938,15 +905,11 @@ type scrub_report = {
   sr_shards : int;
   sr_corrupt : int;
   sr_repaired : int;
-  sr_sidecars_rebuilt : int;
   sr_entries_lost : int;
 }
 
 let scrub_locked ~repair ~now t : scrub_report =
-      let corrupt = ref 0
-      and repaired = ref 0
-      and sidecars = ref 0
-      and lost = ref 0 in
+      let corrupt = ref 0 and repaired = ref 0 and lost = ref 0 in
       let dirty = ref false in
       let gen = t.gen + 1 in
       List.iter
@@ -967,13 +930,12 @@ let scrub_locked ~repair ~now t : scrub_report =
               (* the in-memory view (survivors + WAL replay) is the best
                  recovery we have; write it as a fresh generation *)
               let folded = Database.of_entries (Database.entries sh.view) in
-              let file, fp, ann_file, declared =
+              let file, fp, declared =
                 write_segment t ~fault:"shard_scrub" ~gen sh.sid folded
               in
               lost := !lost + max 0 (sh.declared - declared);
               sh.file <- file;
               sh.fp <- fp;
-              sh.ann_file <- ann_file;
               sh.declared <- declared;
               sh.db <- folded;
               sh.pending <- [];
@@ -982,24 +944,7 @@ let scrub_locked ~repair ~now t : scrub_report =
               incr repaired;
               dirty := true
             end
-          end
-          else
-            (* segment intact: deep-verify the sidecar *)
-            match sh.ann_file with
-            | None -> ()
-            | Some ann -> (
-                match Ann.verify ~path:(t.dir // ann) ~fingerprint:sh.fp with
-                | Ok _ -> ()
-                | Error reason ->
-                    Diag.warn_throttled ~label:"shard_sidecar"
-                      "shardstore %s: shard %d sidecar failed scrub (%s)"
-                      t.dir sh.sid reason;
-                    if repair then begin
-                      Atomic.incr ann_build_count;
-                      ignore (Database.rebuild_index sh.db (t.dir // ann));
-                      incr sidecars;
-                      dirty := true
-                    end))
+          end)
         t.shards;
       t.scrubbed <- now;
       if !dirty then t.gen <- gen;
@@ -1009,7 +954,6 @@ let scrub_locked ~repair ~now t : scrub_report =
         sr_shards = List.length t.shards;
         sr_corrupt = !corrupt;
         sr_repaired = !repaired;
-        sr_sidecars_rebuilt = !sidecars;
         sr_entries_lost = !lost;
       }
 
@@ -1081,7 +1025,7 @@ let refresh t : [ `Unchanged | `Changed of int * int ] =
       else begin
         (* a compaction/scrub/recreate landed: rebuild the shard list,
            reusing any in-memory shard whose (file, fingerprint) is
-           unchanged — those keep their loaded segment and sidecar *)
+           unchanged — those keep their loaded segment *)
         let old = t.shards in
         t.gen <- m.m_gen;
         t.next_id <- m.m_next_id;
@@ -1092,7 +1036,7 @@ let refresh t : [ `Unchanged | `Changed of int * int ] =
         let swapped = ref 0 in
         t.shards <-
           List.map
-            (fun (sid, declared, fp, file, ann_file) ->
+            (fun (sid, declared, fp, file) ->
               match
                 List.find_opt
                   (fun sh ->
@@ -1104,7 +1048,7 @@ let refresh t : [ `Unchanged | `Changed of int * int ] =
               | Some sh ->
                   sh.pending <- [];
                   sh.view <- sh.db;
-                  { sh with sid; declared; ann_file }
+                  { sh with sid; declared }
               | None ->
                   incr swapped;
                   let empty = Database.create () in
@@ -1113,7 +1057,6 @@ let refresh t : [ `Unchanged | `Changed of int * int ] =
                       sid;
                       file;
                       fp;
-                      ann_file;
                       declared;
                       db = empty;
                       pending = [];
@@ -1124,7 +1067,7 @@ let refresh t : [ `Unchanged | `Changed of int * int ] =
                   load_segment t sh;
                   sh)
             (List.sort
-               (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b)
+               (fun (a, _, _, _) (b, _, _, _) -> compare a b)
                m.m_shards);
         List.iter (fun id -> ignore (find_shard t id)) (tree_leaves t.tree);
         t.consumed <- m.m_consumed;
@@ -1146,13 +1089,13 @@ let entries t : Database.entry list =
   List.concat_map Database.entries (snapshot_views t)
 
 (* Exact cross-shard top-k, best-bin-first: non-empty views in order of
-   [Ann.box_lb] to their box (committed + pending entries), each giving
-   its top-k (by ANN when nothing is pending), merged under
-   [Embedding.nearest_by]. The walk stops at the first bound strictly
-   past the k-th best distance: with finite coordinates every later
-   entry is strictly farther, while an equal one could still win the
-   embedding tie-break. Routing keeps bit-equal embeddings in one shard
-   and each view keeps arrival order: bit-identical to the scan. *)
+   [Ann.box_lb] to their box (committed + pending entries), each
+   scanned for its top-k, merged under [Embedding.nearest_by]. The walk
+   stops at the first bound strictly past the k-th best distance: with
+   finite coordinates every later entry is strictly farther, while an
+   equal one could still win the embedding tie-break. Routing keeps
+   bit-equal embeddings in one shard and each view keeps arrival order:
+   bit-identical to the scan. *)
 let query_embedding t ~k (q : Embedding.t) : (float * Database.entry) list =
   let embed (e : Database.entry) = e.embedding in
   let pruned top lb =
@@ -1160,6 +1103,7 @@ let query_embedding t ~k (q : Embedding.t) : (float * Database.entry) list =
   in
   let rec visit top = function
     | (lb, v) :: rest when not (pruned top lb) ->
+        Atomic.incr visit_count;
         let found = List.map snd (Database.query_embedding v ~k q) in
         visit (Embedding.nearest_by ~embed k (List.map snd top @ found) q) rest
     | _ -> top

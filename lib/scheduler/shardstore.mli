@@ -2,12 +2,13 @@
     transfer-tuning database.
 
     A store is a directory: a checksummed [DAISYMAN 1] manifest binding
-    immutable per-shard DAISYDB segments (each with its own DAISYANN
-    sidecar) plus a checksummed write-ahead log for appends. Entries
-    partition by embedding region through a k-d tree of median splits,
-    so every embedding routes to exactly one shard and the cross-shard
-    top-k merge is bit-identical to the monolithic scan (the
-    {!Daisy_embedding.Embedding.compare_key} contract).
+    immutable per-shard DAISYDB segments plus a checksummed write-ahead
+    log for appends. Entries partition by embedding region through a
+    k-d tree of median splits, so every embedding routes to exactly one
+    shard and the cross-shard top-k merge is bit-identical to the
+    monolithic scan (the {!Daisy_embedding.Embedding.compare_key}
+    contract). Shards carry no index: a query scans the shards it
+    visits.
 
     Durability: segments are immutable; appends only touch the WAL
     (per-record FNV-1a-64 checksums, fsync, torn-tail-tolerant replay);
@@ -44,15 +45,17 @@ val is_store_dir : string -> bool
 
 val create : ?shard_cap:int -> ?overwrite:bool -> string -> Database.t -> t
 (** [create dir db] — partition [db]'s entries into a fresh store at
-    [dir] (created if missing): per-shard segments + ANN sidecars, a
-    manifest, an empty WAL. Refuses to replace an existing store unless
+    [dir] (created if missing): per-shard segments, a manifest, an empty
+    WAL. Refuses to replace an existing store unless
     [overwrite]; raises [Invalid_argument] if an embedding has a
     non-finite coordinate. *)
 
 val open_ : ?shard_cap:int -> string -> t
 (** Open an existing store: verify and parse the manifest, load every
     segment (quarantining corrupt ones), collect orphaned generation
-    files, replay the WAL (dropping and truncating a torn tail). Raises
+    files and the [shard-*.db.ann] index files older stores kept beside
+    their segments, replay the WAL (dropping and truncating a torn
+    tail). Raises
     [Daisy_support.Diag.Error] only for a missing/corrupt manifest —
     segment corruption degrades, never fails the open. *)
 
@@ -69,8 +72,8 @@ val append : t -> Database.entry list -> unit
 
 val compact : ?now:float -> t -> int
 (** Fold pending WAL entries into their shards — {e only} the affected
-    shards are rewritten (new-generation segment + rebuilt sidecar),
-    splitting any shard past [shard_cap]. The manifest rename is the
+    shards are rewritten (a new-generation segment each), splitting any
+    shard past [shard_cap]. The manifest rename is the
     commit point (["shard_compact"] fault label; crash before = pre-
     state, after = post-state modulo idempotent WAL re-replay); it
     advances the [consumed] boundary rather than touching the WAL file,
@@ -88,17 +91,14 @@ type scrub_report = {
   sr_shards : int;
   sr_corrupt : int;  (** segments that failed verification *)
   sr_repaired : int;
-  sr_sidecars_rebuilt : int;
   sr_entries_lost : int;  (** manifest count minus recovered entries *)
 }
 
 val scrub : ?repair:bool -> ?now:float -> t -> scrub_report
-(** Walk every shard verifying segment checksums + fingerprint and
-    deep-verifying ANN sidecars ({!Daisy_embedding.Ann.verify}). A bad
+(** Walk every shard verifying segment checksums + fingerprint. A bad
     segment is quarantined and — with [repair], the default — rewritten
     from the in-memory state (survivors + WAL replay) under the
-    ["shard_scrub"] fault label; a bad sidecar alone is rebuilt in
-    place. *)
+    ["shard_scrub"] fault label. *)
 
 val refresh : t -> [ `Unchanged | `Changed of int * int ]
 (** Follow an external writer: re-read the manifest and WAL.
@@ -117,9 +117,9 @@ val query_embedding :
     order of {!Daisy_embedding.Ann.box_lb} to their bounding box
     (committed + pending entries), stopping at the first bound strictly
     greater than the current k-th best distance. Each visited shard
-    answers its own top-k (ANN-accelerated when nothing is pending),
-    re-ranked under [Embedding.nearest_by] — bit-identical (distances
-    and order) to the monolithic scan of {!entries}. *)
+    scans its entries for its own top-k, re-ranked under
+    [Embedding.nearest_by] — bit-identical (distances and order) to the
+    monolithic scan of {!entries}. Each visit counts in {!visits}. *)
 
 val exact_matches_hash : t -> int -> Database.entry list
 
@@ -145,14 +145,13 @@ type stats = {
 val stats : t -> stats
 val wal_depth : t -> int
 
-val ann_builds : unit -> int
-(** Process-wide count of ANN sidecar builds — the incremental-rebuild
-    assertion: appending to one shard and compacting must bump this by
-    the rewritten-shard count, not the total shard count. *)
-
-val reset_ann_builds : unit -> unit
-
 val quarantines : unit -> int
 (** Process-wide count of shard quarantine events. *)
 
 val reset_quarantines : unit -> unit
+
+val visits : unit -> int
+(** Process-wide count of shards {!query_embedding} has visited (and
+    scanned), over every store. *)
+
+val reset_visits : unit -> unit

@@ -623,8 +623,8 @@ let create (config : config) : t =
 
 (* Called from the accept loop's 1 s tick; never blocks it. Compaction
    folds the pending WAL into the affected shards once it is
-   [compact_depth] deep; scrubbing re-verifies every segment and
-   sidecar each [scrub_interval_s]. Both run on a detached thread — the
+   [compact_depth] deep; scrubbing re-verifies every segment each
+   [scrub_interval_s]. Both run on a detached thread — the
    request path only ever contends on the store's own lock, for the
    duration of the affected segments' rewrite. A failed run is warned
    (throttled) and the handle self-heals from disk; the daemon keeps

@@ -1,9 +1,10 @@
-(** The warm store: the transfer-tuning database (and its optional ANN
-    sidecar) a running daemon serves from, with crash-safe hot reload.
+(** The warm store: the transfer-tuning database a running daemon serves
+    from, with crash-safe hot reload.
 
     Two backings. A monolithic file: an offline [daisyc seed --db-out]
     job rewrites it atomically (write-temp/fsync/rename) and a reload
-    republishes the whole snapshot. A sharded store directory
+    republishes the whole snapshot, with an ANN index built in memory
+    over its entries. A sharded store directory
     ({!Daisy_scheduler.Shardstore.is_store_dir}): reloads happen at
     {e manifest granularity} — {!Shardstore.refresh} swaps only the
     shards whose segments changed and replays new WAL records, so a
@@ -22,11 +23,7 @@ module Shardstore = Daisy_scheduler.Shardstore
 module Diag = Daisy_support.Diag
 module Fault = Daisy_support.Fault
 
-type snapshot = {
-  db : Database.t;
-  fingerprint : string;
-  index : string option;  (** description of the attached ANN sidecar *)
-}
+type snapshot = { db : Database.t; fingerprint : string }
 
 (* What backs the store: a single atomically-rewritten database file,
    or a sharded store directory followed at manifest granularity. *)
@@ -42,37 +39,20 @@ type t = {
   mutable shard_swaps : int;  (** shards reloaded across all refreshes *)
 }
 
-let empty_snapshot () =
-  { db = Database.create (); fingerprint = "empty"; index = None }
+let empty_snapshot () = { db = Database.create (); fingerprint = "empty" }
 
 (* Load a database file into a fresh snapshot: the ["serve_reload"]
-   fault point fires before the read, per-entry corruption is tolerated
-   by [Database.load] (warned, throttled), and the ANN sidecar at
-   [path ^ ".ann"] is attached when present and valid. A stale, corrupt
-   or foreign sidecar is warned about once and replaced by an index
-   built in memory; the file is left as it is. Without a sidecar the
-   queries scan. *)
+   fault point fires before the read, and per-entry corruption is
+   tolerated by [Database.load] (warned, throttled). Callers index the
+   entries in memory ([Database.build_index]) only for a snapshot they
+   publish: a reload of unchanged contents is discarded. *)
 let load_snapshot path : snapshot =
   Fault.inject "serve_reload";
   let db, warnings = Database.load path in
   List.iter
     (fun w -> Diag.warn_throttled ~label:"serve_db_load" "%s" w)
     warnings;
-  let index =
-    let ann = path ^ ".ann" in
-    if Sys.file_exists ann then
-      match Database.load_index db ann with
-      | Ok desc -> Some desc
-      | Error reason ->
-          Diag.warn_throttled ~label:"serve_ann_load"
-            "ann sidecar %s not attached (%s); serving from an index built \
-             in memory"
-            ann reason;
-          Database.build_index db;
-          Database.index_description db
-    else None
-  in
-  { db; fingerprint = Database.fingerprint db; index }
+  { db; fingerprint = Database.fingerprint db }
 
 let stat_of path =
   match Unix.stat path with
@@ -92,20 +72,11 @@ let shard_stat dir =
   | (Some _ as s), None | None, (Some _ as s) -> s
   | None, None -> None
 
-let shard_desc st =
-  let s = Shardstore.stats st in
-  Printf.sprintf "sharded store: %d shards, %d entries, gen %d"
-    s.Shardstore.st_shards s.Shardstore.st_entries s.Shardstore.st_gen
-
 (* The sharded snapshot's [db] is a read-only handle {e through} the
    shard store ({!Shardstore.as_database}): per-shard hot reload swaps
    segments underneath it instead of republishing a whole database. *)
 let shard_snapshot st =
-  {
-    db = Shardstore.as_database st;
-    fingerprint = Shardstore.fingerprint st;
-    index = Some (shard_desc st);
-  }
+  { db = Shardstore.as_database st; fingerprint = Shardstore.fingerprint st }
 
 let create ?path () : t =
   let source, current, last_stat =
@@ -115,7 +86,10 @@ let create ?path () : t =
         Fault.inject "serve_reload";
         let st = Shardstore.open_ p in
         (Some (Shard st), shard_snapshot st, shard_stat p)
-    | Some p -> (Some (Mono p), load_snapshot p, stat_of p)
+    | Some p ->
+        let snap = load_snapshot p in
+        Database.build_index snap.db;
+        (Some (Mono p), snap, stat_of p)
   in
   {
     source;
@@ -194,6 +168,7 @@ let reload_if_changed ?(force = false) t :
                 if String.equal snap.fingerprint t.current.fingerprint then
                   `Unchanged
                 else begin
+                  Database.build_index snap.db;
                   t.current <- snap;
                   t.reloads <- t.reloads + 1;
                   `Reloaded snap.fingerprint

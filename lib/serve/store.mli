@@ -1,14 +1,10 @@
 (** The daemon's warm store: an immutable snapshot of the
-    transfer-tuning database (plus optional ANN sidecar) with
-    fingerprint-checked atomic hot reload. See docs/serving.md,
-    "Hot reload". *)
+    transfer-tuning database with fingerprint-checked atomic hot reload.
+    See docs/serving.md, "Hot reload". *)
 
 type snapshot = {
   db : Daisy_scheduler.Database.t;
   fingerprint : string;  (** {!Daisy_scheduler.Database.fingerprint} *)
-  index : string option;
-      (** attached ANN index description: the sidecar's, or that of an
-          index built in memory when the sidecar is unusable *)
 }
 
 type t
@@ -16,11 +12,10 @@ type t
 val create : ?path:string -> unit -> t
 (** [create ~path ()] loads the database at [path] (raising
     [Daisy_support.Diag.Error] on whole-file problems — the daemon
-    fails fast at boot) and attaches the [path ^ ".ann"] sidecar when
-    present and valid. A present but stale, corrupt or foreign sidecar is
-    warned about once (label ["serve_ann_load"]) and an index is built in
-    memory instead; the file is never rewritten. When [path] is a
-    sharded store directory
+    fails fast at boot) and attaches an ANN index built in memory over
+    its entries; a [path ^ ".ann"] file beside it is neither read nor
+    touched. A reload that swaps in new contents indexes them afresh.
+    When [path] is a sharded store directory
     ({!Daisy_scheduler.Shardstore.is_store_dir}) the snapshot serves
     {e through} the shard store instead, with per-shard hot reload and
     quarantine-degraded corruption handling. Without [path], an empty

@@ -10,8 +10,7 @@
     lowering), ["bc_run"] (bytecode interpreter and trace engine entry),
     ["trace_fuse"] (batched trace replay entry), ["pool_task"] (every
     pool-executed task), ["db_load"] (every database entry parsed from
-    disk), ["ann_build"] (every ANN index page written to disk),
-    ["ann_query"] (every ANN index query). See docs/robustness.md.
+    disk). See docs/robustness.md.
 
     Triggers:
     - [always] — fire on every call;

@@ -68,30 +68,51 @@ let test_config ?(jobs = 2) ?(queue = 8) ?(degrade_depth = 1000)
     sample_outer = 4;
   }
 
+(** Every wait on another domain in this file gives up after this many
+    seconds and fails the test, instead of hanging the suite. *)
+let join_deadline_s = 30.0
+
+(** [f ()] on a new domain, with a flag it sets when it returns. *)
+let spawn_flagged f =
+  let finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) f)
+  in
+  (d, finished)
+
+(** Poll [flag] until it is set or [deadline] passes; its final value. *)
+let await ~deadline flag =
+  while (not (Atomic.get flag)) && Util.monotonic_s () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Atomic.get flag
+
+(** Join a {!spawn_flagged} domain, failing the test with [what] if it
+    has not returned within {!join_deadline_s}. *)
+let join_within ~what (d, finished) =
+  if not (await ~deadline:(Util.monotonic_s () +. join_deadline_s) finished)
+  then Alcotest.failf "%s did not finish within %.0f s" what join_deadline_s;
+  Domain.join d
+
 (** Run [f address] against a live server; shuts the server down through
     the protocol [shutdown] verb afterwards (exercising the drain path
     on every test). The shutdown is retried while the server sheds it
-    as [busy], and a server that has not stopped within 30 s fails the
-    test instead of hanging the suite. *)
+    as [busy], and a server that has not stopped within
+    {!join_deadline_s} fails the test instead of hanging the suite. *)
 let with_server config f =
   let address = config.Server.address in
-  let ready = Atomic.make false and stopped = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Atomic.set stopped true)
-          (fun () ->
-            Server.run ~on_ready:(fun () -> Atomic.set ready true) config))
+  let ready = Atomic.make false in
+  let d, stopped =
+    spawn_flagged (fun () ->
+        Server.run ~on_ready:(fun () -> Atomic.set ready true) config)
   in
-  let deadline = Util.monotonic_s () +. 10.0 in
-  while (not (Atomic.get ready)) && Util.monotonic_s () < deadline do
-    Unix.sleepf 0.01
-  done;
-  Alcotest.(check bool) "server came up" true (Atomic.get ready);
+  Alcotest.(check bool) "server came up" true
+    (await ~deadline:(Util.monotonic_s () +. 10.0) ready);
   let result =
     try Ok (f address) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  let deadline = Util.monotonic_s () +. 30.0 in
+  let deadline = Util.monotonic_s () +. join_deadline_s in
   let rec shut_down () =
     match Client.with_connection address Client.shutdown with
     | () -> ()
@@ -102,12 +123,9 @@ let with_server config f =
     | exception _ -> ()
   in
   shut_down ();
-  while (not (Atomic.get stopped)) && Util.monotonic_s () < deadline do
-    Unix.sleepf 0.01
-  done;
-  if not (Atomic.get stopped) then
-    Alcotest.failf "daisyd at %s did not stop within 30 s of its shutdown%s"
-      (Server.string_of_address address)
+  if not (await ~deadline stopped) then
+    Alcotest.failf "daisyd at %s did not stop within %.0f s of its shutdown%s"
+      (Server.string_of_address address) join_deadline_s
       (match result with
       | Ok _ -> ""
       | Error (e, _) -> "; the test had raised " ^ Printexc.to_string e);
@@ -245,10 +263,13 @@ let test_rqueue () =
   Alcotest.(check (option int)) "then None" None (Rqueue.pop q);
   (* close wakes a blocked popper *)
   let q2 = Rqueue.create ~capacity:1 in
-  let d = Domain.spawn (fun () -> Rqueue.pop q2) in
+  let popper = spawn_flagged (fun () -> Rqueue.pop q2) in
   Unix.sleepf 0.05;
   Rqueue.close q2;
-  Alcotest.(check (option int)) "woken with None" None (Domain.join d);
+  Alcotest.(check (option int)) "woken with None" None
+    (join_within
+       ~what:"the popper blocked in Rqueue.pop (Rqueue.close must wake it)"
+       popper);
   Alcotest.check_raises "capacity >= 1"
     (Invalid_argument "Rqueue.create: capacity must be >= 1") (fun () ->
       ignore (Rqueue.create ~capacity:0))
@@ -576,7 +597,7 @@ let test_eintr_io () =
   let r, w = Unix.pipe () in
   let payload = Bytes.of_string (String.init 70_000 (fun i -> Char.chr (i land 0xff))) in
   let writer =
-    Domain.spawn (fun () ->
+    spawn_flagged (fun () ->
         Util.write_all w payload 0 (Bytes.length payload);
         Unix.close w)
   in
@@ -588,7 +609,7 @@ let test_eintr_io () =
   Alcotest.(check bool) "eof is false" false
     (Util.really_read r (Bytes.create 4) 0 4);
   Unix.close r;
-  Domain.join writer
+  join_within ~what:"the pipe writer" writer
 
 let suite =
   [

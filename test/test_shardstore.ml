@@ -5,8 +5,9 @@
     ["shard_wal"]/["shard_compact"]/["shard_scrub"] crash point leaves a
     store that opens cleanly and answers like the pre- or post-state;
     a corrupt shard quarantines with exactly one throttled warning
-    while the rest keep serving; compaction re-indexes only the
-    touched shards. *)
+    while the rest keep serving; compaction rewrites only the touched
+    shards; a query visits only the shards its bound cannot rule out;
+    a store whose manifest names per-shard index files still opens. *)
 
 module Embedding = Daisy_embedding.Embedding
 module Fault = Daisy_support.Fault
@@ -452,7 +453,7 @@ let test_scrub_crash_points () =
         "exercised at least 1 scrub crash point" true (!nth > 1))
 
 (* ------------------------------------------------------------------ *)
-(* Incremental rebuild: one appended shard => one sidecar rebuilt *)
+(* Incremental rebuild: one appended shard => one segment rewritten *)
 
 let test_incremental_rebuild () =
   with_dir (fun dir ->
@@ -464,17 +465,12 @@ let test_incremental_rebuild () =
       let shards = (Store.stats st).Store.st_shards in
       Alcotest.(check bool) "several shards" true (shards >= 3);
       Store.append st [ mk_entry ~grid:5 rng 100 ];
-      Store.reset_ann_builds ();
       let rewritten = Store.compact st in
       Alcotest.(check int) "one shard rewritten" 1 rewritten;
       Alcotest.(check int)
-        "one sidecar rebuilt, not the world" 1 (Store.ann_builds ());
-      Alcotest.(check int)
         "shard count unchanged" shards (Store.stats st).Store.st_shards;
-      (* nothing pending: a second compact is a no-op, no builds *)
-      Store.reset_ann_builds ();
-      Alcotest.(check int) "no-op compact" 0 (Store.compact st);
-      Alcotest.(check int) "no-op builds nothing" 0 (Store.ann_builds ()))
+      (* nothing pending: a second compact is a no-op *)
+      Alcotest.(check int) "no-op compact" 0 (Store.compact st))
 
 (* Shards past the cap split during compaction, keeping answers exact. *)
 let test_split_on_growth () =
@@ -646,44 +642,52 @@ let segments dir : (string * S.Database.entry list) list =
              Some (file, S.Database.entries db)
          | _ -> None)
 
-(* flip the last byte of a sidecar's first page entry line: the page
-   now fails its checksum when a query first touches it *)
-let corrupt_first_page path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  let start = Option.get (Test_ann.find_sub ~sub:"\ne " s) + 1 in
-  let i = String.index_from s start '\n' - 1 in
-  let b = Bytes.of_string s in
-  Bytes.set b i (if Bytes.get b i = '0' then '1' else '0');
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+(* An entry with every coordinate 0 but the first, at [x]. *)
+let on_axis rng i x : S.Database.entry =
+  {
+    (mk_entry ~grid:1 rng i) with
+    embedding = Array.init Embedding.dim (fun d -> if d = 0 then x else 0.);
+  }
 
+(* A near cluster of 8 entries, one shard at cap 8, and a far cluster at
+   +1000 on every axis that an append and a compaction grow past the
+   cap, so it spans several shards. The far shards' bounds lie past
+   every near query's k-th best distance: each near query visits the
+   near shard alone. The rule is strict, though: on one axis, with
+   shards [0, 3] and [6, 9] and a query at 4.5, the best distance and
+   the second shard's bound are both 1.5, and that shard is visited —
+   an entry there at 1.5 could win the embedding tie-break. *)
 let test_prune_far_shards () =
   with_dir (fun dir ->
       let rng = Rng.of_string "shard-prune" in
-      let mono = mono_of (two_clusters rng) in
-      ignore (Store.create ~shard_cap:8 dir mono);
-      let far_file, far_entries =
-        List.find
-          (fun (_, es) ->
-            List.for_all (fun (e : S.Database.entry) -> e.embedding.(0) >= 1000.) es)
-          (segments dir)
-      in
-      (* reopened, every sidecar is paged: a page is read only when a
-         query visits its shard *)
-      let st = Store.open_ dir in
-      corrupt_first_page (Filename.concat dir (far_file ^ ".ann"));
-      S.Database.reset_index_fallbacks ();
+      let far i = mk_entry_at ~at:1000. ~grid:4 rng i in
+      let base = List.init 8 (mk_entry ~grid:4 rng) @ List.init 8 (fun i -> far (100 + i)) in
+      let st = Store.create ~shard_cap:8 dir (mono_of base) in
+      let grown = List.init 24 (fun i -> far (200 + i)) in
+      Store.append st grown;
+      ignore (Store.compact st);
+      let mono = mono_of (base @ grown) in
+      let shards = (Store.stats st).Store.st_shards in
+      Alcotest.(check bool) "the far cluster spans shards" true (shards >= 3);
+      Store.reset_visits ();
       for i = 0 to 9 do
         check_topk ~name:(Printf.sprintf "near query %d" i) st mono ~k:5
           (random_q rng ~grid:4)
       done;
-      Alcotest.(check int)
-        "far shards never touched" 0 (S.Database.index_fallbacks ());
-      let q = (List.hd far_entries).embedding in
-      check_topk ~name:"query at the damaged shard" st mono ~k:5 q;
-      Alcotest.(check int)
-        "the damaged page falls back once" 1 (S.Database.index_fallbacks ());
-      check_topk ~name:"again, on the scan" st mono ~k:5 q;
-      Alcotest.(check int) "no second fallback" 1 (S.Database.index_fallbacks ()))
+      Alcotest.(check int) "one shard per near query" 10 (Store.visits ());
+      Store.reset_visits ();
+      check_topk ~name:"far query" st mono ~k:5 (List.hd grown).embedding;
+      Alcotest.(check bool) "the near shard untouched" true
+        (Store.visits () < shards);
+      let line =
+        List.mapi (fun i x -> on_axis rng (300 + i) x) [ 0.; 1.; 2.; 3.; 6.; 7.; 8.; 9. ]
+      in
+      let st = Store.create ~shard_cap:4 (Filename.concat dir "line") (mono_of line) in
+      Alcotest.(check int) "two shards" 2 (Store.stats st).Store.st_shards;
+      Store.reset_visits ();
+      check_topk ~name:"query at the bound" st (mono_of line) ~k:1
+        (on_axis rng 0 4.5).embedding;
+      Alcotest.(check int) "the shard at the bound is visited" 2 (Store.visits ()))
 
 (* an entry appended outside every committed shard's box widens its
    shard's bound while it is pending *)
@@ -745,6 +749,70 @@ let test_prune_refresh () =
       | `Changed (0, 1) -> ()
       | _ -> Alcotest.fail "expected every shard reused and y replayed");
       check "y pending after reuse" (chron @ [ x; y ]) y)
+
+(* ------------------------------------------------------------------ *)
+(* A store written when every segment had an index file beside it: the
+   manifest's sixth column names [shard-….db.ann] and the files exist.
+   It opens without a warning and answers like the scan; opening drops
+   the files, and the next compaction writes the column as "-". *)
+
+let test_old_layout () =
+  with_dir (fun dir ->
+      let rng = Rng.of_string "shard-old-layout" in
+      let chron = mk_entries rng ~n:40 in
+      ignore (Store.create ~shard_cap:8 dir (mono_of chron));
+      let man = Filename.concat dir "MANIFEST" in
+      let shard_lines () =
+        In_channel.with_open_bin man In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter_map (fun l ->
+               match String.split_on_char ' ' l with
+               | "shard" :: cols -> Some cols
+               | _ -> None)
+      in
+      let body =
+        match String.split_on_char '\n' (In_channel.with_open_bin man In_channel.input_all) with
+        | _magic :: _checksum :: body -> List.filter (fun l -> l <> "") body
+        | _ -> Alcotest.fail "manifest"
+      in
+      let body =
+        List.map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ "shard"; id; cnt; fp; file; "-" ] ->
+                let ann = file ^ ".ann" in
+                Out_channel.with_open_bin (Filename.concat dir ann) (fun oc ->
+                    output_string oc "kd index pages\n");
+                String.concat " " [ "shard"; id; cnt; fp; file; ann ]
+            | _ -> l)
+          body
+      in
+      Out_channel.with_open_bin man (fun oc ->
+          Printf.fprintf oc "DAISYMAN 1\nchecksum %s\n"
+            (Daisy_support.Util.fnv1a64 (String.concat "\n" body));
+          List.iter (fun l -> output_string oc (l ^ "\n")) body);
+      let index_files () =
+        List.filter
+          (fun f -> Filename.check_suffix f ".db.ann")
+          (Array.to_list (Sys.readdir dir))
+      in
+      let shards = List.length (shard_lines ()) in
+      Alcotest.(check bool) "several shards" true (shards > 1);
+      Alcotest.(check int) "one index file per shard" shards
+        (List.length (index_files ()));
+      let st, warnings = Test_ann.stderr_of (fun () -> Store.open_ dir) in
+      Alcotest.(check string) "no warning" "" warnings;
+      Alcotest.(check (list string)) "index files dropped" [] (index_files ());
+      let mono = mono_of chron in
+      for i = 0 to 4 do
+        check_topk ~name:(Printf.sprintf "query %d" i) st mono ~k:5
+          (random_q rng ~grid:4)
+      done;
+      Store.append st [ mk_entry ~grid:4 rng 100 ];
+      ignore (Store.compact st);
+      let sixth = List.map (fun cols -> List.nth cols 4) (shard_lines ()) in
+      Alcotest.(check (list string))
+        "compaction writes -" (List.map (fun _ -> "-") sixth) sixth)
 
 (* ------------------------------------------------------------------ *)
 (* Non-finite embeddings never enter the store *)
@@ -811,4 +879,5 @@ let suite =
     Alcotest.test_case "pruning: after reader refresh" `Quick
       test_prune_refresh;
     Alcotest.test_case "non-finite embeddings refused" `Quick test_non_finite;
+    Alcotest.test_case "old layout: index files dropped" `Quick test_old_layout;
   ]
