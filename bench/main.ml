@@ -25,9 +25,9 @@ let experiments =
      Micro.trace_bench_full);
     ("trace-smoke", "trace engine comparison, two kernels (CI smoke)",
      Micro.trace_bench_smoke);
-    ("ann", "ANN index: query latency vs database size, 10^2..10^6 (BENCH_ann.json)",
+    ("ann", "partitioned index: query latency vs database size, 10^2..10^6 (BENCH_ann.json)",
      Micro.ann_bench_full);
-    ("ann-smoke", "ANN index comparison up to 10^5 entries (CI smoke)",
+    ("ann-smoke", "partitioned index vs scan up to 10^5 entries (CI smoke)",
      Micro.ann_bench_smoke);
     ("shard", "sharded warm store vs monolithic, 10^3..10^6 (BENCH_shard.json)",
      Micro.shard_bench_full);

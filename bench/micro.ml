@@ -491,11 +491,11 @@ let seed_speedup () =
   Format.printf "  parallel == sequential entries: %b@." identical
 
 (* ------------------------------------------------------------------ *)
-(* ANN index: query latency vs database size (BENCH_ann.json)           *)
+(* Partitioned index: query latency vs database size (BENCH_ann.json)  *)
 
-module Ann = Daisy_embedding.Ann
 module Embedding = Daisy_embedding.Embedding
 module Rng = Daisy_support.Rng
+module Database = Daisy_scheduler.Database
 
 (** Synthetic embedding databases shaped like the real thing: each
     coordinate of a real embedding is a log-compressed count, and a big
@@ -524,115 +524,6 @@ let synth_queries rng (vecs : float array array) : float array list =
         (fun x -> if Rng.int rng 8 = 0 then x +. (0.1 *. Rng.float rng) else x)
         v)
 
-type ann_row = {
-  an : int;
-  scan_s : float;  (** per-query seconds, linear scan *)
-  kd_build_s : float;
-  kd_s : float;
-  agree : bool;  (** exact top-k agreement on every query *)
-}
-
-(** Perf-trajectory record for the ANN index: per-query latency of the
-    linear scan vs the k-d tree across database sizes, plus the
-    exactness check. Schema 2 drops schema 1's LSH columns
-    ([lsh_build_s], [lsh_query_s], [lsh_speedup]); the rest keep their
-    meaning. Accumulated across PRs by CI (see docs/performance.md). *)
-let write_ann_json ~path (rows : ann_row list) =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"ann\",\n  \"schema\": 2,\n  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"n\": %d, \"scan_s\": %.9f, \"kd_build_s\": %.6f, \
-         \"kd_query_s\": %.9f, \"kd_speedup\": %.2f, \"agree\": %b}%s\n"
-        r.an r.scan_s r.kd_build_s r.kd_s (r.scan_s /. r.kd_s) r.agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  close_out oc
-
-(** [ann_bench ~smoke ()] — top-5 query latency of the linear scan vs the
-    k-d tree over synthetic embedding databases of 10^2..10^6 entries
-    (10^5 in the smoke configuration), with an exact top-k agreement
-    check on every query, written to BENCH_ann.json. The acceptance bar
-    (docs/performance.md): at 10^5 entries the indexed query is >= 10x
-    faster than the scan, and it agrees with the scan at every size. CI
-    greps "-> ok". *)
-let ann_bench ?(smoke = false) () =
-  let k = 5 in
-  let reps = if smoke then 1 else 3 in
-  let sizes =
-    [ 100; 1_000; 10_000; 100_000 ] @ (if smoke then [] else [ 1_000_000 ])
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let vecs = synth_embeddings n in
-        let queries = synth_queries (Rng.of_string "bench-ann-q") vecs in
-        let nq = float_of_int (List.length queries) in
-        let entries = Array.to_list (Array.mapi (fun i v -> (i, v)) vecs) in
-        let scan q =
-          Embedding.nearest_by ~embed:snd k entries q
-          |> List.map (fun (d, (i, _)) -> (d, i))
-        in
-        let scan_s =
-          median_time reps (fun () -> List.iter (fun q -> ignore (scan q)) queries)
-          /. nq
-        in
-        let t0 = Unix.gettimeofday () in
-        let kd = Ann.build ~dim:Embedding.dim vecs in
-        let kd_build_s = Unix.gettimeofday () -. t0 in
-        let kd_s =
-          median_time reps (fun () ->
-              List.iter (fun q -> ignore (Ann.query kd ~k q)) queries)
-          /. nq
-        in
-        let agree =
-          List.for_all (fun q -> Ann.query kd ~k q = scan q) queries
-        in
-        { an = n; scan_s; kd_build_s; kd_s; agree })
-      sizes
-  in
-  Format.printf "@.ANN index: top-%d query latency vs database size@." k;
-  Format.printf "  %10s %12s %12s %8s %6s@." "entries" "scan (s)" "kd (s)"
-    "vs scan" "exact";
-  List.iter
-    (fun r ->
-      Format.printf "  %10d %12.3e %12.3e %7.1fx %6b@." r.an r.scan_s r.kd_s
-        (r.scan_s /. r.kd_s) r.agree)
-    rows;
-  let speedup =
-    match List.find_opt (fun r -> r.an = 100_000) rows with
-    | Some r -> r.scan_s /. r.kd_s
-    | None -> 0.0
-  in
-  let agree = List.for_all (fun r -> r.agree) rows in
-  Format.printf
-    "  acceptance: at 1e5 entries kd is %.1fx the scan (bar: >= 10x), \
-     agreement at every n %b -> %s@."
-    speedup agree
-    (if speedup >= 10.0 && agree then "ok" else "FAIL");
-  write_ann_json ~path:"BENCH_ann.json" rows;
-  Format.printf "  [wrote BENCH_ann.json]@."
-
-let ann_bench_full () = ann_bench ()
-let ann_bench_smoke () = ann_bench ~smoke:true ()
-
-(* ------------------------------------------------------------------ *)
-(* Sharded warm store vs monolithic database (BENCH_shard.json)        *)
-
-module Shardstore = Daisy_scheduler.Shardstore
-module Database = Daisy_scheduler.Database
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 let synth_entries_of vecs : Database.entry list =
   Array.to_list
     (Array.mapi
@@ -645,6 +536,116 @@ let synth_entries_of vecs : Database.entry list =
            cost_ms = float_of_int (i land 0xff);
          })
        vecs)
+
+type ann_row = {
+  an : int;
+  parts : int;  (** parts of the index *)
+  scan_s : float;  (** per-query seconds, linear scan *)
+  build_s : float;  (** [Database.build_index] *)
+  query_s : float;  (** per-query seconds, indexed *)
+  agree : bool;  (** exact top-k agreement on every query *)
+}
+
+(** Perf-trajectory record for the in-memory index: per-query latency of
+    the linear scan vs the partition's best-bin-first search across
+    database sizes, plus the exactness check. Schema 3 measures
+    [Database.build_index]'s partition and renames the columns ([parts]
+    is new; [build_s], [query_s] and [speedup] replace schema 2's
+    [kd_build_s], [kd_query_s] and [kd_speedup], which timed the deleted
+    k-d tree). Accumulated across PRs by CI (see docs/performance.md). *)
+let write_ann_json ~path (rows : ann_row list) =
+  let oc = open_out path in
+  let out fmt = Printf.fprintf oc fmt in
+  out "{\n  \"bench\": \"ann\",\n  \"schema\": 3,\n  \"results\": [\n";
+  List.iteri
+    (fun i r ->
+      out
+        "    {\"n\": %d, \"parts\": %d, \"scan_s\": %.9f, \"build_s\": \
+         %.6f, \"query_s\": %.9f, \"speedup\": %.2f, \"agree\": %b}%s\n"
+        r.an r.parts r.scan_s r.build_s r.query_s (r.scan_s /. r.query_s)
+        r.agree
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
+  out "  ]\n}\n";
+  close_out oc
+
+(** [ann_bench ~smoke ()] — top-5 query latency of the linear scan vs
+    [Database.build_index]'s partition over synthetic embedding databases
+    of 10^2..10^6 entries (10^5 in the smoke configuration), with an
+    exact top-k agreement check on every query, written to
+    BENCH_ann.json. The acceptance bar (docs/performance.md): at 10^5
+    entries the indexed query is >= 10x faster than the scan, and it
+    agrees with the scan at every size. CI greps "-> ok". *)
+let ann_bench ?(smoke = false) () =
+  let k = 5 in
+  let reps = if smoke then 1 else 3 in
+  let sizes =
+    [ 100; 1_000; 10_000; 100_000 ] @ (if smoke then [] else [ 1_000_000 ])
+  in
+  let rows =
+    List.map
+      (fun n ->
+        let vecs = synth_embeddings n in
+        let queries = synth_queries (Rng.of_string "bench-ann-q") vecs in
+        let nq = float_of_int (List.length queries) in
+        let entries = synth_entries_of vecs in
+        let scan = Database.of_entries entries in
+        let indexed = Database.of_entries entries in
+        let top db q =
+          List.map
+            (fun (d, (e : Database.entry)) -> (d, e.Database.source))
+            (Database.query_embedding db ~k q)
+        in
+        let time db =
+          median_time reps (fun () -> List.iter (fun q -> ignore (top db q)) queries)
+          /. nq
+        in
+        let scan_s = time scan in
+        let t0 = Unix.gettimeofday () in
+        Database.build_index indexed;
+        let build_s = Unix.gettimeofday () -. t0 in
+        let query_s = time indexed in
+        let agree = List.for_all (fun q -> top indexed q = top scan q) queries in
+        { an = n; parts = Database.index_parts indexed; scan_s; build_s; query_s; agree })
+      sizes
+  in
+  Format.printf "@.Partitioned index: top-%d query latency vs database size@." k;
+  Format.printf "  %10s %6s %12s %12s %10s %8s %6s@." "entries" "parts" "scan (s)"
+    "index (s)" "build (s)" "vs scan" "exact";
+  List.iter
+    (fun r ->
+      Format.printf "  %10d %6d %12.3e %12.3e %10.3e %7.1fx %6b@." r.an r.parts
+        r.scan_s r.query_s r.build_s (r.scan_s /. r.query_s) r.agree)
+    rows;
+  let speedup =
+    match List.find_opt (fun r -> r.an = 100_000) rows with
+    | Some r -> r.scan_s /. r.query_s
+    | None -> 0.0
+  in
+  let agree = List.for_all (fun r -> r.agree) rows in
+  Format.printf
+    "  acceptance: at 1e5 entries the partition is %.1fx the scan (bar: >= \
+     10x), agreement at every n %b -> %s@."
+    speedup agree
+    (if speedup >= 10.0 && agree then "ok" else "FAIL");
+  write_ann_json ~path:"BENCH_ann.json" rows;
+  Format.printf "  [wrote BENCH_ann.json]@."
+
+let ann_bench_full () = ann_bench ()
+let ann_bench_smoke () = ann_bench ~smoke:true ()
+
+(* ------------------------------------------------------------------ *)
+(* Sharded warm store vs monolithic database (BENCH_shard.json)        *)
+
+module Shardstore = Daisy_scheduler.Shardstore
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
 
 type shard_row = {
   zn : int;

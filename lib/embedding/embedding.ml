@@ -132,14 +132,29 @@ let distance (a : t) (b : t) : float =
     a;
   sqrt !acc
 
+(** Distance from [q] to the axis-aligned box [lo, hi] — a lower bound on
+    the distance from [q] to any point inside. *)
+let box_lb (q : t) (lo : t) (hi : t) : float =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length lo - 1 do
+    let d =
+      if q.(i) < lo.(i) then lo.(i) -. q.(i)
+      else if q.(i) > hi.(i) then q.(i) -. hi.(i)
+      else 0.0
+    in
+    acc := !acc +. (d *. d)
+  done;
+  sqrt !acc
+
 (** Total order on [(distance, embedding)] ranking keys: by distance
     first, then lexicographically by embedding coordinates. This is the
     tie-break contract every top-k path in the toolchain (the linear scan
-    below and {!Ann}'s k-d tree) agrees on: entries at equal
-    distance rank by their embedding, so the result is independent of the
-    order the database happens to store them in. Only entries with
-    bit-equal embeddings remain order-dependent — they are broken by
-    arrival order (the scan) / entry index (the index), which coincide. *)
+    below and the database's best-bin-first search over its parts)
+    agrees on: entries at equal distance rank by their embedding, so the
+    result is independent of the order the database happens to store
+    them in. Only entries with bit-equal embeddings remain
+    order-dependent — they keep arrival order, which every part
+    preserves. *)
 let compare_key ((d1 : float), (e1 : t)) ((d2 : float), (e2 : t)) : int =
   if d1 < d2 then -1
   else if d1 > d2 then 1

@@ -13,13 +13,19 @@ val of_node : Daisy_loopir.Ir.node -> t
 val distance : t -> t -> float
 (** Euclidean distance. *)
 
+val box_lb : t -> t -> t -> float
+(** [box_lb q lo hi] — Euclidean distance from [q] to the axis-aligned
+    box [[lo, hi]]: a lower bound on [distance q v] for every [v] inside
+    the box, when all coordinates are finite. *)
+
 val compare_key : float * t -> float * t -> int
 (** Total order on [(distance, embedding)] ranking keys: distance first,
     then the embedding lexicographically. The shared tie-break contract
-    of every top-k path ({!nearest_by}, {!Ann}): entries at equal
-    distance rank by their embedding coordinates, making results
-    independent of database order; only bit-equal embeddings fall back
-    to arrival order / entry index (which coincide). *)
+    of every top-k path ({!nearest_by} and the database's best-bin-first
+    search over its parts): entries at equal distance rank by their
+    embedding coordinates, making results independent of database order;
+    only bit-equal embeddings fall back to arrival order, which every
+    part preserves. *)
 
 val nearest_by : embed:('a -> t) -> int -> 'a list -> t -> (float * 'a) list
 (** [nearest_by ~embed k entries q] — the [k] entries closest to [q],

@@ -9,7 +9,6 @@
 module Ir = Daisy_loopir.Ir
 module Recipe = Daisy_transforms.Recipe
 module Embedding = Daisy_embedding.Embedding
-module Ann = Daisy_embedding.Ann
 module Diag = Daisy_support.Diag
 module Fault = Daisy_support.Fault
 
@@ -42,9 +41,9 @@ type memo = {
 
 type t = {
   mutable entries : entry list;
-  mutable index : (Ann.t * entry array) option;
-      (* ANN index over [entries] plus the entry snapshot its indices
-         refer to; any mutation of [entries] detaches it *)
+  mutable index : t list option;
+      (* the parts [build_index] split [entries] into; any mutation of
+         [entries] detaches them *)
   mutable memo : memo;  (* any mutation of [entries] clears it *)
   backend : backend option;
 }
@@ -366,12 +365,7 @@ let load (path : string) : t * string list =
   (make (List.rev !entries), List.rev !warnings)
 
 (* ------------------------------------------------------------------ *)
-(* Sub-linear queries: an optional in-memory ANN index over the entries.
-
-   The index is a pure accelerator — [query]'s results are bit-identical
-   with and without it (Ann's contract is exact top-k agreement with
-   [Embedding.nearest_by], tie order included). Any mutation
-   ([add]/[merge]) detaches it. *)
+(* Memoized facts: fingerprint and bounding box *)
 
 (** Fingerprint of the database contents: the checksum of every entry's
     serialized body, in order. [save]/[load] round-trip entries exactly
@@ -406,16 +400,125 @@ let bounds (db : t) : (float array * float array) option =
       m.bounds <- Some (lo, hi);
       Some (lo, hi)
 
-let has_index db = db.index <> None
+(* ------------------------------------------------------------------ *)
+(* Sub-linear queries: a partition of the entries into parts with
+   bounding boxes, searched best-bin-first. The same partition routes
+   the sharded store's entries to its shards, and the same search runs
+   over its shard views. *)
+
+(* Entries per part of an in-memory index, and the sharded store's
+   default shard cap. *)
+let part_cap = 512
+
+(* Median split on the widest-spread dimension: the threshold is the
+   median coordinate value, advanced past a run of minimum values so
+   both sides are non-empty. Returns [None] when every dimension has
+   zero spread (an oversized part is the only option). The partition is
+   stable, so each side keeps input order. *)
+let split_entries (es : entry array) :
+    (int * float * entry array * entry array) option =
+  let n = Array.length es in
+  if n < 2 then None
+  else
+    let dim =
+      Array.fold_left (fun d e -> max d (Array.length e.embedding)) 0 es
+    in
+    let best = ref (-1) and best_spread = ref 0. in
+    for d = 0 to dim - 1 do
+      let mn = ref infinity and mx = ref neg_infinity in
+      Array.iter
+        (fun e ->
+          let v = if d < Array.length e.embedding then e.embedding.(d) else 0. in
+          if v < !mn then mn := v;
+          if v > !mx then mx := v)
+        es;
+      let s = !mx -. !mn in
+      if s > !best_spread then (
+        best := d;
+        best_spread := s)
+    done;
+    if !best < 0 then None
+    else
+      let d = !best in
+      let coord e = if d < Array.length e.embedding then e.embedding.(d) else 0. in
+      let coords = Array.map coord es in
+      Array.sort Float.compare coords;
+      let thr = ref coords.(n / 2) in
+      if Float.equal !thr coords.(0) then begin
+        let i = ref (n / 2) in
+        while !i < n && Float.equal coords.(!i) coords.(0) do
+          incr i
+        done;
+        if !i < n then thr := coords.(!i)
+      end;
+      let left = Array.of_seq (Seq.filter (fun e -> coord e < !thr) (Array.to_seq es)) in
+      let right =
+        Array.of_seq (Seq.filter (fun e -> coord e >= !thr) (Array.to_seq es))
+      in
+      if Array.length left = 0 || Array.length right = 0 then None
+      else Some (d, !thr, left, right)
+
+let rec partition (es : entry array) : entry array list =
+  if Array.length es <= part_cap then [ es ]
+  else
+    match split_entries es with
+    | None -> [ es ]
+    | Some (_, _, l, r) -> partition l @ partition r
+
+let index_parts db =
+  match db.index with Some parts -> List.length parts | None -> 0
 
 let build_index (db : t) : unit =
   read_only db "build_index";
-  let arr = Array.of_list db.entries in
-  let ann = Ann.build ~dim:Embedding.dim (Array.map (fun e -> e.embedding) arr) in
-  db.index <- Some (ann, arr)
+  (* box bounds only bound finite distances *)
+  let finite e = Array.for_all Float.is_finite e.embedding in
+  if not (List.for_all finite db.entries) then
+    invalid_arg "Database.build_index: non-finite embedding coordinate";
+  let parts =
+    partition (Array.of_list db.entries)
+    |> List.map (fun es -> make (Array.to_list es))
+  in
+  (* the boxes belong to the index: compute them now, not in a query *)
+  List.iter (fun p -> ignore (bounds p)) parts;
+  db.index <- Some parts
+
+(* parts scanned by [query_parts], across every database and store *)
+let visit_count = Atomic.make 0
+let visits () = Atomic.get visit_count
+let reset_visits () = Atomic.set visit_count 0
+
+let scan db ~k q =
+  Embedding.nearest_by ~embed:(fun e -> e.embedding) k db.entries q
+
+(* Exact top-k, best-bin-first: the non-empty parts in order of
+   [Embedding.box_lb] to their box, each scanned for its top-k, merged
+   under [Embedding.nearest_by]. The walk stops at the first bound
+   strictly past the k-th best distance: with finite coordinates every
+   later entry is strictly farther, while an equal one could still win
+   the embedding tie-break. The split keeps bit-equal embeddings in one
+   part and each part keeps arrival order: bit-identical to the scan. *)
+let query_parts (parts : t list) ~k (q : Embedding.t) : (float * entry) list =
+  let embed e = e.embedding in
+  let pruned top lb =
+    List.compare_length_with top k >= 0 && lb > fst (List.nth top (k - 1))
+  in
+  let rec visit top = function
+    | (lb, p) :: rest when not (pruned top lb) ->
+        Atomic.incr visit_count;
+        let found = List.map snd (scan p ~k q) in
+        visit (Embedding.nearest_by ~embed k (List.map snd top @ found) q) rest
+    | _ -> top
+  in
+  if k <= 0 then []
+  else
+    parts
+    |> List.filter_map (fun p ->
+           Option.map (fun (lo, hi) -> (Embedding.box_lb q lo hi, p)) (bounds p))
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+    |> visit []
 
 (** [query_embedding db ~k q] — the [k] entries nearest to [q] in
-    embedding space (closest first): through the ANN index when one is
+    embedding space (closest first): over the index's parts when one is
     attached, as a linear scan otherwise, with bit-identical results
     either way. *)
 let query_embedding (db : t) ~k (q : Embedding.t) : (float * entry) list =
@@ -423,10 +526,8 @@ let query_embedding (db : t) ~k (q : Embedding.t) : (float * entry) list =
   else
     match (db.backend, db.index) with
     | Some b, _ -> b.b_query ~k q
-    | None, Some (ann, arr) ->
-        List.map (fun (d, i) -> (d, arr.(i))) (Ann.query ann ~k q)
-    | None, None ->
-        Embedding.nearest_by ~embed:(fun e -> e.embedding) k db.entries q
+    | None, Some parts -> query_parts parts ~k q
+    | None, None -> scan db ~k q
 
 (** [query db ~k nest] — the [k] entries nearest to [nest] in embedding
     space (closest first). *)

@@ -74,7 +74,7 @@ val better_cost : float -> float -> bool
 
 val query : t -> k:int -> Daisy_loopir.Ir.loop -> (float * entry) list
 (** The [k] nearest entries in embedding space, closest first. Runs
-    through the in-memory ANN index when one is attached (see
+    {!query_parts} over the index's parts when one is attached (see
     {!build_index}), as a linear scan otherwise — with bit-identical
     results either way (exact top-k agreement, tie order included). *)
 
@@ -92,13 +92,51 @@ val bounds : t -> (float array * float array) option
     empty; memoized like {!fingerprint} (shared arrays: do not mutate).
     Raises [Invalid_argument] on a backed handle. *)
 
-val build_index : t -> unit
-(** Build and attach an in-memory ANN index (the bucket k-d tree of
-    {!Daisy_embedding.Ann}) over the current entries. The index is a
-    pure accelerator: {!query} results do not change. It is never
-    written to disk. Any later {!add}/{!merge} detaches it. *)
+val part_cap : int
+(** Entries per part of an index (512); also the sharded store's default
+    shard cap. *)
 
-val has_index : t -> bool
+val split_entries :
+  entry array -> (int * float * entry array * entry array) option
+(** The median split: [Some (d, thr, left, right)] splits on the
+    dimension [d] of widest spread at its median coordinate [thr],
+    advanced past a run of minimum values so both sides are non-empty.
+    [left] holds the entries whose coordinate is [< thr] and [right] the
+    rest, each in input order, so bit-equal embeddings share a side.
+    [None] for fewer than two entries or zero spread on every
+    dimension. *)
+
+val build_index : t -> unit
+(** Split the current entries, in list order, with {!split_entries}
+    until each part holds at most {!part_cap} entries (or cannot split),
+    and attach the parts as an in-memory index. The index is a pure
+    accelerator: {!query} results do not change. It is never written to
+    disk, and any later {!add}/{!merge} detaches it. Raises
+    [Invalid_argument] on a backed handle or a non-finite embedding
+    coordinate. *)
+
+val index_parts : t -> int
+(** Parts of the attached index; [0] when none is attached. *)
+
+val query_parts :
+  t list -> k:int -> Daisy_embedding.Embedding.t -> (float * entry) list
+(** [query_parts parts ~k q] — the exact top-k over [parts],
+    best-bin-first: the non-empty parts in
+    increasing order of {!Daisy_embedding.Embedding.box_lb} to their
+    bounding box ({!bounds}), each visited part scanned for its own
+    top-k and the answers merged under [Embedding.nearest_by], stopping
+    at the first bound strictly greater than the current k-th best
+    distance. The result equals the scan of all the parts' entries,
+    distances and order, provided coordinates are finite, bit-equal
+    embeddings share a part, and each part keeps arrival order. The
+    parts must be unbacked and unindexed. Each visit counts in
+    {!visits}. *)
+
+val visits : unit -> int
+(** Process-wide count of parts {!query_parts} has visited and scanned:
+    index parts and shard views alike. *)
+
+val reset_visits : unit -> unit
 
 val exact_matches : t -> Daisy_loopir.Ir.loop -> entry list
 (** Entries whose normalized structure is identical — exact transfer

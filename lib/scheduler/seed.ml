@@ -25,7 +25,6 @@ module Recipe = Daisy_transforms.Recipe
 module Pipeline = Daisy_normalize.Pipeline
 module Patterns = Daisy_blas.Patterns
 module Embedding = Daisy_embedding.Embedding
-module Ann = Daisy_embedding.Ann
 
 type nest_state = {
   label : string;
@@ -301,33 +300,13 @@ let seed_database ?(epochs = 3) ?(population = 8) ?(iterations = 3) ?pool
   for epoch = 2 to epochs do
     if epoch > completed_epochs then begin
       let snapshot = List.map (fun o -> (o, o.embedding, o.best)) states in
-      (* Past a few dozen nests the per-nest neighbour lookup goes
-         through an ANN index built once over the epoch-start snapshot.
-         The index is exact (same top-k, same tie order as the scan), so
-         either path yields the same neighbours: the top-10 of the
-         snapshot minus self is contained in the top-11 of the full
-         snapshot. *)
-      let neighbours_of =
-        if List.length snapshot < 32 then fun st ->
-          Embedding.nearest_by
-            ~embed:(fun (_, emb, _) -> emb)
-            10
-            (List.filter (fun (o, _, _) -> o != st) snapshot)
-            st.embedding
-          |> List.map (fun (_, (_, _, best)) -> best)
-        else begin
-          let arr = Array.of_list snapshot in
-          let ann =
-            Ann.build ~dim:Embedding.dim
-              (Array.map (fun (_, emb, _) -> emb) arr)
-          in
-          fun st ->
-            Ann.query ann ~k:11 st.embedding
-            |> List.filter_map (fun (_, i) ->
-                   let o, _, best = arr.(i) in
-                   if o == st then None else Some best)
-            |> Util.take 10
-        end
+      let neighbours_of st =
+        Embedding.nearest_by
+          ~embed:(fun (_, emb, _) -> emb)
+          10
+          (List.filter (fun (o, _, _) -> o != st) snapshot)
+          st.embedding
+        |> List.map (fun (_, (_, _, best)) -> best)
       in
       run_epoch epoch (fun st ->
           let rng =

@@ -9,13 +9,15 @@
     v}
 
     Shards carry no index: a query visits shards best-bin-first by
-    their bounding boxes and scans each visited shard's entries.
+    their bounding boxes and scans each visited shard's entries
+    ({!Database.query_parts}, the search an indexed database runs over
+    its parts).
 
-    Entries partition by embedding region: a k-d tree of median splits
-    (widest-spread dimension first, the same ranking key discipline as
-    {!Daisy_embedding.Ann}) routes every embedding to exactly one leaf
-    shard, so bit-equal embeddings always share a shard and the
-    cross-shard top-k merge needs no tie-break beyond
+    Entries partition by embedding region: a tree of
+    {!Database.split_entries} median splits (the split an indexed
+    database uses) routes every embedding to exactly one leaf shard, so
+    bit-equal embeddings always share a shard and the cross-shard top-k
+    merge needs no tie-break beyond
     {!Daisy_embedding.Embedding.compare_key}.
 
     Durability contract (see docs/robustness.md, "Sharded warm store"):
@@ -51,23 +53,17 @@ module Diag = Daisy_support.Diag
 module Fault = Daisy_support.Fault
 module Checkpoint = Daisy_support.Checkpoint
 module Embedding = Daisy_embedding.Embedding
-module Ann = Daisy_embedding.Ann
 
 let manifest_name = "MANIFEST"
 let wal_name = "wal.log"
 let man_magic = "DAISYMAN 1"
 let wal_magic = "DAISYWAL 1"
 let wal_header = wal_magic ^ "\n"
-let default_shard_cap = 512
+let default_shard_cap = Database.part_cap
 
 let quarantine_count = Atomic.make 0
 let quarantines () = Atomic.get quarantine_count
 let reset_quarantines () = Atomic.set quarantine_count 0
-
-(* shards scanned by [query_embedding], across every store *)
-let visit_count = Atomic.make 0
-let visits () = Atomic.get visit_count
-let reset_visits () = Atomic.set visit_count 0
 
 (* ------------------------------------------------------------------ *)
 (* Routing tree *)
@@ -125,59 +121,6 @@ let tree_of_lines (lines : string list) : (tree * string list) option =
   in
   go lines
 
-(* Median split on the widest-spread dimension — the same discipline as
-   {!Ann}'s k-d builder: the threshold is the median coordinate value,
-   advanced past a run of minimum values so both sides are non-empty.
-   Returns [None] when every dimension has zero spread (an oversized
-   leaf is the only option). The partition is stable, so chronological
-   order survives within each side. *)
-let split_entries (es : Database.entry array) :
-    (int * float * Database.entry array * Database.entry array) option =
-  let n = Array.length es in
-  if n < 2 then None
-  else
-    let dim =
-      Array.fold_left
-        (fun d (e : Database.entry) -> max d (Array.length e.embedding))
-        0 es
-    in
-    let best = ref (-1) and best_spread = ref 0. in
-    for d = 0 to dim - 1 do
-      let mn = ref infinity and mx = ref neg_infinity in
-      Array.iter
-        (fun (e : Database.entry) ->
-          let v = if d < Array.length e.embedding then e.embedding.(d) else 0. in
-          if v < !mn then mn := v;
-          if v > !mx then mx := v)
-        es;
-      let s = !mx -. !mn in
-      if s > !best_spread then (
-        best := d;
-        best_spread := s)
-    done;
-    if !best < 0 then None
-    else
-      let d = !best in
-      let coord (e : Database.entry) =
-        if d < Array.length e.embedding then e.embedding.(d) else 0.
-      in
-      let coords = Array.map coord es in
-      Array.sort Float.compare coords;
-      let thr = ref coords.(n / 2) in
-      if Float.equal !thr coords.(0) then begin
-        let i = ref (n / 2) in
-        while !i < n && Float.equal coords.(!i) coords.(0) do
-          incr i
-        done;
-        if !i < n then thr := coords.(!i)
-      end;
-      let left = Array.of_seq (Seq.filter (fun e -> coord e < !thr) (Array.to_seq es)) in
-      let right =
-        Array.of_seq (Seq.filter (fun e -> coord e >= !thr) (Array.to_seq es))
-      in
-      if Array.length left = 0 || Array.length right = 0 then None
-      else Some (d, !thr, left, right)
-
 (* Partition chronological entries into leaf shards of at most [cap]
    entries (oversized leaves only under zero spread), assigning fresh
    leaf ids from [next_id]. *)
@@ -188,7 +131,7 @@ let rec build_partition ~cap (next_id : int ref)
     incr next_id;
     (Leaf id, [ (id, es) ]))
   else
-    match split_entries es with
+    match Database.split_entries es with
     | None ->
         let id = !next_id in
         incr next_id;
@@ -1088,35 +1031,11 @@ let size t : int =
 let entries t : Database.entry list =
   List.concat_map Database.entries (snapshot_views t)
 
-(* Exact cross-shard top-k, best-bin-first: non-empty views in order of
-   [Ann.box_lb] to their box (committed + pending entries), each
-   scanned for its top-k, merged under [Embedding.nearest_by]. The walk
-   stops at the first bound strictly past the k-th best distance: with
-   finite coordinates every later entry is strictly farther, while an
-   equal one could still win the embedding tie-break. Routing keeps
-   bit-equal embeddings in one shard and each view keeps arrival order:
-   bit-identical to the scan. *)
+(* Exact cross-shard top-k: {!Database.query_parts} over the shard
+   views (committed + pending entries). Routing keeps bit-equal
+   embeddings in one shard and each view keeps arrival order. *)
 let query_embedding t ~k (q : Embedding.t) : (float * Database.entry) list =
-  let embed (e : Database.entry) = e.embedding in
-  let pruned top lb =
-    List.compare_length_with top k >= 0 && lb > fst (List.nth top (k - 1))
-  in
-  let rec visit top = function
-    | (lb, v) :: rest when not (pruned top lb) ->
-        Atomic.incr visit_count;
-        let found = List.map snd (Database.query_embedding v ~k q) in
-        visit (Embedding.nearest_by ~embed k (List.map snd top @ found) q) rest
-    | _ -> top
-  in
-  if k <= 0 then []
-  else
-    snapshot_views t
-    |> List.filter_map (fun v ->
-           Option.map
-             (fun (lo, hi) -> (Ann.box_lb q lo hi, v))
-             (Database.bounds v))
-    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-    |> visit []
+  Database.query_parts (snapshot_views t) ~k q
 
 let exact_matches_hash t (h : int) : Database.entry list =
   List.concat_map

@@ -4,11 +4,11 @@
     A store is a directory: a checksummed [DAISYMAN 1] manifest binding
     immutable per-shard DAISYDB segments plus a checksummed write-ahead
     log for appends. Entries partition by embedding region through a
-    k-d tree of median splits, so every embedding routes to exactly one
-    shard and the cross-shard top-k merge is bit-identical to the
-    monolithic scan (the {!Daisy_embedding.Embedding.compare_key}
-    contract). Shards carry no index: a query scans the shards it
-    visits.
+    tree of {!Database.split_entries} median splits, so every embedding
+    routes to exactly one shard and the cross-shard top-k merge is
+    bit-identical to the monolithic scan (the
+    {!Daisy_embedding.Embedding.compare_key} contract). Shards carry no
+    index: a query scans the shards it visits.
 
     Durability: segments are immutable; appends only touch the WAL
     (per-record FNV-1a-64 checksums, fsync, torn-tail-tolerant replay);
@@ -38,7 +38,8 @@
 type t
 
 val default_shard_cap : int
-(** Compaction splits a shard past this many entries (512). *)
+(** Compaction splits a shard past this many entries:
+    {!Database.part_cap} (512). *)
 
 val is_store_dir : string -> bool
 (** Does [path] name a store directory (has a [MANIFEST])? *)
@@ -113,13 +114,10 @@ val entries : t -> Database.entry list
 
 val query_embedding :
   t -> k:int -> Daisy_embedding.Embedding.t -> (float * Database.entry) list
-(** Exact top-k across shards, best-bin-first: shards in increasing
-    order of {!Daisy_embedding.Ann.box_lb} to their bounding box
-    (committed + pending entries), stopping at the first bound strictly
-    greater than the current k-th best distance. Each visited shard
-    scans its entries for its own top-k, re-ranked under
-    [Embedding.nearest_by] — bit-identical (distances and order) to the
-    monolithic scan of {!entries}. Each visit counts in {!visits}. *)
+(** Exact top-k across shards: {!Database.query_parts} over the shard
+    views (committed + pending entries) — bit-identical (distances and
+    order) to the monolithic scan of {!entries}. Each visited shard
+    counts in {!Database.visits}. *)
 
 val exact_matches_hash : t -> int -> Database.entry list
 
@@ -149,9 +147,3 @@ val quarantines : unit -> int
 (** Process-wide count of shard quarantine events. *)
 
 val reset_quarantines : unit -> unit
-
-val visits : unit -> int
-(** Process-wide count of shards {!query_embedding} has visited (and
-    scanned), over every store. *)
-
-val reset_visits : unit -> unit

@@ -3,8 +3,8 @@
 
     Two backings. A monolithic file: an offline [daisyc seed --db-out]
     job rewrites it atomically (write-temp/fsync/rename) and a reload
-    republishes the whole snapshot, with an ANN index built in memory
-    over its entries. A sharded store directory
+    republishes the whole snapshot, indexed in memory
+    ([Database.build_index]). A sharded store directory
     ({!Daisy_scheduler.Shardstore.is_store_dir}): reloads happen at
     {e manifest granularity} — {!Shardstore.refresh} swaps only the
     shards whose segments changed and replays new WAL records, so a
@@ -74,7 +74,8 @@ let shard_stat dir =
 
 (* The sharded snapshot's [db] is a read-only handle {e through} the
    shard store ({!Shardstore.as_database}): per-shard hot reload swaps
-   segments underneath it instead of republishing a whole database. *)
+   segments underneath it instead of republishing a whole database, so
+   a request in flight across a refresh reads both states. *)
 let shard_snapshot st =
   { db = Shardstore.as_database st; fingerprint = Shardstore.fingerprint st }
 

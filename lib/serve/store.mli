@@ -1,6 +1,6 @@
-(** The daemon's warm store: an immutable snapshot of the
-    transfer-tuning database with fingerprint-checked atomic hot reload.
-    See docs/serving.md, "Hot reload". *)
+(** The daemon's warm store: a snapshot of the transfer-tuning database
+    with fingerprint-checked atomic hot reload. See docs/serving.md,
+    "Hot reload". *)
 
 type snapshot = {
   db : Daisy_scheduler.Database.t;
@@ -12,9 +12,10 @@ type t
 val create : ?path:string -> unit -> t
 (** [create ~path ()] loads the database at [path] (raising
     [Daisy_support.Diag.Error] on whole-file problems — the daemon
-    fails fast at boot) and attaches an ANN index built in memory over
-    its entries; a [path ^ ".ann"] file beside it is neither read nor
-    touched. A reload that swaps in new contents indexes them afresh.
+    fails fast at boot) and indexes its entries in memory
+    ({!Daisy_scheduler.Database.build_index}); a [path ^ ".ann"] file
+    beside it is neither read nor touched. A reload that swaps in new
+    contents indexes them afresh.
     When [path] is a sharded store directory
     ({!Daisy_scheduler.Shardstore.is_store_dir}) the snapshot serves
     {e through} the shard store instead, with per-shard hot reload and
@@ -22,8 +23,12 @@ val create : ?path:string -> unit -> t
     store (requests are served from baselines only). *)
 
 val snapshot : t -> snapshot
-(** The current snapshot. Immutable once returned: in-flight requests
-    keep serving from it across a concurrent reload. *)
+(** The current snapshot. For a monolithic file it is immutable once
+    returned: in-flight requests keep serving from it across a
+    concurrent reload. For a sharded store it is not: its [db] reads the
+    live shard views at every call
+    ({!Daisy_scheduler.Shardstore.as_database}), so one request can see
+    the store before and after a refresh. *)
 
 val db : t -> Daisy_scheduler.Database.t
 val fingerprint : t -> string

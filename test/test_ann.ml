@@ -1,12 +1,12 @@
-(** Differential and property tests for the ANN index (docs/performance.md,
-    "ANN transfer tuning"). The contract under test: the in-memory k-d
-    tree returns {e exactly} the same top-k — distances and order, ties
-    included — as the [Embedding.nearest_by] linear scan, on every
-    database; the warm store indexes a monolithic database in memory and
-    ignores any index file beside it. *)
+(** Differential and property tests for the in-memory index
+    (docs/performance.md, "ANN transfer tuning"). The contract under
+    test: a database partitioned by [Database.build_index] returns
+    {e exactly} the same top-k — distances and order, ties included — as
+    the [Embedding.nearest_by] linear scan, on every database; the warm
+    store indexes a monolithic database in memory and ignores any index
+    file beside it. *)
 
 module Ir = Daisy_loopir.Ir
-module Ann = Daisy_embedding.Ann
 module Embedding = Daisy_embedding.Embedding
 module Pool = Daisy_support.Pool
 module Rng = Daisy_support.Rng
@@ -60,25 +60,47 @@ let stderr_of (f : unit -> 'a) : 'a * string =
   Sys.remove path;
   (v, out)
 
-(* Exact comparison: same distances (float equality), same entry order. *)
-let result = Alcotest.(list (pair (float 0.0) int))
+(* Exact comparison: same distances (float equality), same entries in
+   the same order (every entry has its own source). *)
+let result = Alcotest.(list (pair (float 0.0) string))
 
-(** The ground truth: the linear scan over [(index, vector)] pairs in
-    index order — arrival order and entry index coincide, as they do for
-    [Database.entries]. *)
-let scan_topk (vecs : float array array) ~k (q : float array) :
-    (float * int) list =
-  let entries = Array.to_list (Array.mapi (fun i v -> (i, v)) vecs) in
-  Embedding.nearest_by ~embed:snd k entries q
-  |> List.map (fun (d, (i, _)) -> (d, i))
+let project = List.map (fun (d, (e : S.Database.entry)) -> (d, e.source))
 
-(** Random vectors on a small integer grid — duplicates and tied
-    distances are common by construction, which is the point. *)
-let random_vecs rng ~n ~dim : float array array =
-  let grid = 1 + Rng.int rng 5 in
-  let scale = if Rng.bool rng then 1.0 else 0.5 in
-  Array.init n (fun _ ->
-      Array.init dim (fun _ -> scale *. float_of_int (Rng.int rng grid)))
+(** The ground truth: the linear scan over the entries in list order. *)
+let scan_topk (entries : S.Database.entry list) ~k (q : float array) =
+  project
+    (Embedding.nearest_by ~embed:(fun (e : S.Database.entry) -> e.embedding) k
+       entries q)
+
+let grid_entry ~varies ~grid rng i : S.Database.entry =
+  {
+    S.Database.source = Printf.sprintf "e%d" i;
+    embedding =
+      Array.init Embedding.dim (fun d ->
+          if varies.(d) then float_of_int (Rng.int rng grid) else 0.0);
+    recipe = [];
+    canon_hash = i;
+    cost_ms = nan;
+  }
+
+(** [n] entries with 16-dimensional embeddings on a small integer grid,
+    where only a few dimensions vary: duplicates and tied distances
+    abound, and a part's bound often equals a query's k-th best distance.
+    Some databases open with a run of one repeated embedding, often long
+    enough to leave a part that cannot split, and some are that run. *)
+let grid_entries rng ~n : S.Database.entry list =
+  let grid = 2 + Rng.int rng 3 in
+  let varies = Array.init Embedding.dim (fun _ -> Rng.int rng 4 = 0) in
+  let run =
+    match Rng.int rng 8 with
+    | 0 -> n
+    | 1 | 2 -> Rng.int rng (min n 700 + 1)
+    | _ -> 0
+  in
+  let first = grid_entry ~varies ~grid rng 0 in
+  List.init n (fun i ->
+      if i < run then { first with source = Printf.sprintf "e%d" i }
+      else grid_entry ~varies ~grid rng i)
 
 (* ------------------------------------------------------------------ *)
 (* nearest_by tie-breaking: stable under permutation of the input *)
@@ -126,59 +148,83 @@ let test_nearest_by_stability () =
     (Util.permutations entries)
 
 (* ------------------------------------------------------------------ *)
-(* The differential property: the k-d tree == the scan, on ~200 random
-   databases varying n, dim, duplicates and tied distances *)
-
-let check_db ~name (vecs : float array array) ~dim (queries : float array list)
-    (ks : int list) =
-  let n = Array.length vecs in
-  let kd = Ann.build ~dim vecs in
-  Alcotest.(check (pair int int)) (name ^ ": size") (n, dim) (Ann.n kd, Ann.dim kd);
-  List.iteri
-    (fun qi q ->
-      List.iter
-        (fun k ->
-          Alcotest.check result
-            (Printf.sprintf "%s n=%d dim=%d q=%d k=%d" name n dim qi k)
-            (scan_topk vecs ~k q) (Ann.query kd ~k q))
-        ks)
-    queries
+(* The differential property: the partition == the scan, on 200 random
+   databases on both sides of the part cap *)
 
 let test_differential () =
+  let several = ref 0 and pruned = ref 0 in
   for case = 0 to 199 do
     let rng = Rng.of_string (Printf.sprintf "ann-diff-%d" case) in
-    let dim = Rng.choose rng [ 2; 3; 16; 20 ] in
-    let n = Rng.int rng 300 in
-    let vecs = random_vecs rng ~n ~dim in
+    let n = Rng.int rng (3 * S.Database.part_cap) in
+    let entries = grid_entries rng ~n in
+    let db = S.Database.of_entries entries in
+    S.Database.build_index db;
+    let parts = S.Database.index_parts db in
+    if List.for_all
+         (fun (e : S.Database.entry) -> e.embedding = (List.hd entries).embedding)
+         entries
+    then
+      Alcotest.(check int) (Printf.sprintf "case %d: one unsplittable part" case) 1
+        parts;
     let queries =
-      List.init 3 (fun _ ->
-          Array.init dim (fun _ -> float_of_int (Rng.int rng 6) *. 0.5))
+      [
+        (if n = 0 then Array.make Embedding.dim 0.0
+         else (List.nth entries (Rng.int rng n)).embedding);
+        Array.init Embedding.dim (fun _ -> float_of_int (Rng.int rng 4));
+        Array.init Embedding.dim (fun _ -> 0.5 *. float_of_int (Rng.int rng 6));
+      ]
     in
-    let ks = List.sort_uniq compare [ 1; 3; max 1 n; n + 3 ] in
-    check_db ~name:(Printf.sprintf "case %d" case) vecs ~dim queries ks
-  done
+    let kr = 1 + Rng.int rng 60 in
+    (* k = n and past n cost O(n^2) on both paths: one query in every
+       fourth case *)
+    let ks qi =
+      if qi > 0 then [ 1; kr ]
+      else if case mod 4 = 0 then [ 0; 1; kr; n; n + 3 ]
+      else [ 0; 1; kr ]
+    in
+    List.iteri
+      (fun qi q ->
+        List.iter
+          (fun k ->
+            S.Database.reset_visits ();
+            Alcotest.check result
+              (Printf.sprintf "case %d n=%d parts=%d q=%d k=%d" case n parts qi k)
+              (scan_topk entries ~k q)
+              (project (S.Database.query_embedding db ~k q));
+            let v = S.Database.visits () in
+            if v > 1 then incr several;
+            if k > 0 && v < parts then incr pruned)
+          (ks qi))
+      queries
+  done;
+  Alcotest.(check bool) "some queries visit several parts" true (!several > 0);
+  Alcotest.(check bool) "some queries skip parts" true (!pruned > 0)
 
 let test_differential_parallel () =
-  (* one shared index queried from 4 domains: results must equal the
-     sequential scan, query by query *)
+  (* one shared indexed database queried from 4 domains: results must
+     equal the sequential scan, query by query *)
   let rng = Rng.of_string "ann-par" in
-  let dim = Embedding.dim in
-  let n = 500 in
-  let vecs = random_vecs rng ~n ~dim in
+  let entries = grid_entries rng ~n:(4 * S.Database.part_cap) in
   let queries =
     List.init 40 (fun _ ->
-        Array.init dim (fun _ -> float_of_int (Rng.int rng 4)))
+        Array.init Embedding.dim (fun _ -> float_of_int (Rng.int rng 4)))
   in
-  let kd = Ann.build ~dim vecs in
+  let db = S.Database.of_entries entries in
+  S.Database.build_index db;
+  Alcotest.(check bool) "several parts" true (S.Database.index_parts db > 1);
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          let got = Pool.map ?pool (fun q -> Ann.query kd ~k:5 q) queries in
+          let got =
+            Pool.map ?pool
+              (fun q -> project (S.Database.query_embedding db ~k:5 q))
+              queries
+          in
           List.iter2
             (fun q got ->
               Alcotest.check result
                 (Printf.sprintf "jobs=%d" jobs)
-                (scan_topk vecs ~k:5 q) got)
+                (scan_topk entries ~k:5 q) got)
             queries got))
     [ 1; 4 ]
 
@@ -260,9 +306,9 @@ let test_database_query_nest () =
       Alcotest.(check string) "self match" "gemm" e.S.Database.source
   | [] -> Alcotest.fail "no results");
   (* mutation detaches the index *)
-  Alcotest.(check bool) "indexed" true (S.Database.has_index db);
+  Alcotest.(check bool) "indexed" true (S.Database.index_parts db > 0);
   S.Database.add db ~source:"gemm2" ~nest ~recipe:[];
-  Alcotest.(check bool) "detached on add" false (S.Database.has_index db)
+  Alcotest.(check bool) "detached on add" false (S.Database.index_parts db > 0)
 
 (* The fingerprint and bounds memos are cleared by the same mutations
    that detach the index: after each, they equal a fresh handle's, and
@@ -289,11 +335,11 @@ let test_database_memo () =
   let far = { (mk_entry rng 100) with embedding = Array.make Embedding.dim 9.0 } in
   S.Database.merge ~into:db (S.Database.of_entries [ far ]);
   check "after merge";
-  Alcotest.(check bool) "merge detaches the index" false (S.Database.has_index db);
+  Alcotest.(check bool) "merge detaches the index" false (S.Database.index_parts db > 0);
   S.Database.build_index db;
   S.Database.add db ~source:"gemm" ~nest ~recipe:[];
   check "after add";
-  Alcotest.(check bool) "add detaches the index" false (S.Database.has_index db)
+  Alcotest.(check bool) "add detaches the index" false (S.Database.index_parts db > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Robustness *)
@@ -303,11 +349,14 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 (* A non-finite coordinate is refused at build time: box bounds only
    bound finite distances. *)
 let test_non_finite_refused () =
+  let rng = Rng.of_string "ann-non-finite" in
   List.iter
     (fun x ->
-      let vecs = [| Array.make 4 0.0; Array.init 4 (fun i -> if i = 2 then x else 1.0) |] in
-      match Ann.build ~dim:4 vecs with
-      | _ -> Alcotest.failf "build accepted %h" x
+      let bad = mk_entry rng 1 in
+      bad.embedding.(2) <- x;
+      let db = S.Database.of_entries [ mk_entry rng 0; bad ] in
+      match S.Database.build_index db with
+      | () -> Alcotest.failf "build_index accepted %h" x
       | exception Invalid_argument _ -> ())
     [ nan; infinity; neg_infinity ]
 
@@ -334,7 +383,7 @@ let test_leftover_index_file () =
       let store, warnings = stderr_of (fun () -> Store.create ~path:dbpath ()) in
       Alcotest.(check string) "no warning" "" warnings;
       Alcotest.(check bool) "an index is attached" true
-        (S.Database.has_index (Store.db store));
+        (S.Database.index_parts (Store.db store) > 0);
       Alcotest.(check (list (pair (float 0.0) string)))
         "store answers = scan"
         (project (S.Database.query_embedding db ~k:5 q))
@@ -347,13 +396,13 @@ let test_leftover_index_file () =
       | `Reloaded _ -> ()
       | `Unchanged | `Failed _ -> Alcotest.fail "new contents not swapped in");
       Alcotest.(check bool) "the reloaded snapshot is indexed" true
-        (S.Database.has_index (Store.db store)))
+        (S.Database.index_parts (Store.db store) > 0))
 
 let suite =
   [
     Alcotest.test_case "nearest_by: permutation-stable ties" `Quick
       test_nearest_by_stability;
-    Alcotest.test_case "differential: kd == scan (200 dbs)" `Slow
+    Alcotest.test_case "differential: index == scan (200 dbs)" `Slow
       test_differential;
     Alcotest.test_case "differential: parallel domains" `Quick
       test_differential_parallel;

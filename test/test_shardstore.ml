@@ -112,6 +112,55 @@ let test_roundtrip () =
         (fun () -> S.Database.merge ~into:db (mono_of [])))
 
 (* ------------------------------------------------------------------ *)
+(* The routing tree pinned: every top-k differential passes for any valid
+   median split, so these lines are what notice a split that picks other
+   dimensions or thresholds. They come from two 60-entry stores at cap
+   8: on a 16-value grid the median threshold moves with its index, and
+   on a 2-value grid the median often equals the minimum, which the
+   split must step past. *)
+
+let golden_routing =
+  [
+    ( 16,
+      [
+        "split 0 0x1p+3"; "split 1 0x1.cp+2"; "split 4 0x1p+3"; "leaf 0";
+        "leaf 1"; "split 2 0x1p+3"; "leaf 2"; "split 4 0x1.4p+3"; "leaf 3";
+        "leaf 4"; "split 1 0x1.2p+3"; "split 3 0x1.8p+2"; "leaf 5";
+        "split 7 0x1.8p+3"; "leaf 6"; "leaf 7"; "split 3 0x1.4p+3"; "leaf 8";
+        "leaf 9";
+      ] );
+    ( 2,
+      [
+        "split 0 0x1p+0"; "split 1 0x1p+0"; "split 2 0x1p+0"; "leaf 0";
+        "split 3 0x1p+0"; "leaf 1"; "leaf 2"; "split 2 0x1p+0"; "leaf 3";
+        "split 3 0x1p+0"; "leaf 4"; "leaf 5"; "split 1 0x1p+0";
+        "split 2 0x1p+0"; "leaf 6"; "split 3 0x1p+0"; "leaf 7"; "leaf 8";
+        "split 2 0x1p+0"; "split 3 0x1p+0"; "leaf 9"; "leaf 10"; "leaf 11";
+      ] );
+  ]
+
+let test_golden_routing () =
+  List.iter
+    (fun (grid, golden) ->
+      with_dir (fun dir ->
+          let rng = Rng.of_string "shard-golden" in
+          ignore
+            (Store.create ~shard_cap:8 dir (mono_of (mk_entries ~grid rng ~n:60)));
+          let routing =
+            In_channel.with_open_bin (Filename.concat dir "MANIFEST")
+              In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l ->
+                   match String.split_on_char ' ' l with
+                   | ("split" | "leaf") :: _ -> true
+                   | _ -> false)
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "routing lines, grid %d" grid)
+            golden routing))
+    golden_routing
+
+(* ------------------------------------------------------------------ *)
 (* The 200-database differential: sharded top-k == monolithic scan,
    distances and order, committed + pending + dedup included *)
 
@@ -669,25 +718,25 @@ let test_prune_far_shards () =
       let mono = mono_of (base @ grown) in
       let shards = (Store.stats st).Store.st_shards in
       Alcotest.(check bool) "the far cluster spans shards" true (shards >= 3);
-      Store.reset_visits ();
+      S.Database.reset_visits ();
       for i = 0 to 9 do
         check_topk ~name:(Printf.sprintf "near query %d" i) st mono ~k:5
           (random_q rng ~grid:4)
       done;
-      Alcotest.(check int) "one shard per near query" 10 (Store.visits ());
-      Store.reset_visits ();
+      Alcotest.(check int) "one shard per near query" 10 (S.Database.visits ());
+      S.Database.reset_visits ();
       check_topk ~name:"far query" st mono ~k:5 (List.hd grown).embedding;
       Alcotest.(check bool) "the near shard untouched" true
-        (Store.visits () < shards);
+        (S.Database.visits () < shards);
       let line =
         List.mapi (fun i x -> on_axis rng (300 + i) x) [ 0.; 1.; 2.; 3.; 6.; 7.; 8.; 9. ]
       in
       let st = Store.create ~shard_cap:4 (Filename.concat dir "line") (mono_of line) in
       Alcotest.(check int) "two shards" 2 (Store.stats st).Store.st_shards;
-      Store.reset_visits ();
+      S.Database.reset_visits ();
       check_topk ~name:"query at the bound" st (mono_of line) ~k:1
         (on_axis rng 0 4.5).embedding;
-      Alcotest.(check int) "the shard at the bound is visited" 2 (Store.visits ()))
+      Alcotest.(check int) "the shard at the bound is visited" 2 (S.Database.visits ()))
 
 (* an entry appended outside every committed shard's box widens its
    shard's bound while it is pending *)
@@ -862,6 +911,8 @@ let test_non_finite () =
 let suite =
   [
     Alcotest.test_case "roundtrip + as_database" `Quick test_roundtrip;
+    Alcotest.test_case "golden: routing lines at cap 8" `Quick
+      test_golden_routing;
     Alcotest.test_case "200-database differential" `Slow test_differential_200;
     Alcotest.test_case "WAL torn tail + fault" `Quick test_wal_torn_tail;
     Alcotest.test_case "compact crash points" `Quick test_compact_crash_points;
