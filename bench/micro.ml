@@ -711,6 +711,7 @@ let shard_bench ?(smoke = false) () =
             let st = Shardstore.create dir mono in
             let create_s = Unix.gettimeofday () -. t0 in
             let shards = (Shardstore.stats st).Shardstore.st_shards in
+            let snapshot = Shardstore.as_database st in
             let mono_q q =
               List.map
                 (fun (d, (e : Database.entry)) -> (d, e.Database.source))
@@ -719,7 +720,7 @@ let shard_bench ?(smoke = false) () =
             let shard_q q =
               List.map
                 (fun (d, (e : Database.entry)) -> (d, e.Database.source))
-                (Shardstore.query_embedding st ~k q)
+                (Database.query_embedding snapshot ~k q)
             in
             let zagree = List.for_all (fun q -> mono_q q = shard_q q) queries in
             let mono_q_s =

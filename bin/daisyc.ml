@@ -407,11 +407,9 @@ let seed_cmd =
               end
             end
             else
-              let st = Sh.create ~shard_cap dirname db in
+              let s = Sh.stats (Sh.create ~shard_cap dirname db) in
               Fmt.pr "sharded store: %d entries in %d shard(s) -> %s@."
-                (Sh.size st)
-                (Sh.stats st).Sh.st_shards
-                dirname)
+                s.Sh.st_entries s.Sh.st_shards dirname)
           shard_out;
         Option.iter Daisy.Support.Checkpoint.delete journal;
         report_quarantine quarantine;

@@ -20,17 +20,6 @@ type entry = {
   cost_ms : float;  (** predicted runtime of the recipe; [nan] = unknown *)
 }
 
-(** A pluggable read path: lets a database handle serve from another
-    store (the sharded warm store) without materialising a monolithic
-    entry list. A backed handle is read-only. *)
-type backend = {
-  b_size : unit -> int;
-  b_entries : unit -> entry list;
-  b_query : k:int -> Embedding.t -> (float * entry) list;
-  b_exact : int -> entry list;
-  b_fingerprint : unit -> string;
-}
-
 (* Facts derived from [entries], computed on first use. Racing domains
    may both compute one; they store the same value. *)
 type memo = {
@@ -42,30 +31,15 @@ type memo = {
 type t = {
   mutable entries : entry list;
   mutable index : t list option;
-      (* the parts [build_index] split [entries] into; any mutation of
-         [entries] detaches them *)
+      (* the parts [build_index] split [entries] into, or the parts
+         [of_parts] was given; any mutation of [entries] detaches them *)
   mutable memo : memo;  (* any mutation of [entries] clears it *)
-  backend : backend option;
 }
 
 let no_memo () = { fp = None; bounds = None }
-
-let make ?backend entries =
-  { entries; index = None; memo = no_memo (); backend }
-
-let create () = make []
-let of_entries entries = make entries
-let of_backend b = make ~backend:b []
-let is_backed db = db.backend <> None
-
-let size db =
-  match db.backend with
-  | Some b -> b.b_size ()
-  | None -> List.length db.entries
-
-let read_only db op =
-  if db.backend <> None then
-    invalid_arg (Printf.sprintf "Database.%s: backed database is read-only" op)
+let of_entries entries = { entries; index = None; memo = no_memo () }
+let create () = of_entries []
+let size db = List.length db.entries
 
 (* ------------------------------------------------------------------ *)
 (* Content-keyed dedup: one entry per (normalized structure, recipe).
@@ -100,7 +74,6 @@ let rec replace_dup key e = function
       else Option.map (fun tl' -> hd :: tl') (replace_dup key e tl)
 
 let add_entry db (e : entry) =
-  read_only db "add";
   (match replace_dup (dedup_key e) e db.entries with
   | Some entries -> db.entries <- entries
   | None -> db.entries <- e :: db.entries);
@@ -117,8 +90,7 @@ let add ?(cost_ms = nan) db ~source ~(nest : Ir.loop) ~(recipe : Recipe.t) =
       cost_ms;
     }
 
-let entries db =
-  match db.backend with Some b -> b.b_entries () | None -> db.entries
+let entries db = db.entries
 
 (** [merge ~into src] — append the entries of [src] to [into], exactly as
     if [src]'s adds had been replayed on [into] in their original order:
@@ -126,19 +98,40 @@ let entries db =
     better-cost entry in the incumbent's position, so repeated merges
     and WAL replays are idempotent. Lets independent shards be seeded in
     parallel and combined in a fixed order, reproducing the sequential
-    database bit-for-bit. *)
+    database bit-for-bit. One key table replaces [add]'s walk: each
+    entry's key is formatted once, so a merge is linear in both sizes. *)
 let merge ~into src =
-  read_only into "merge";
-  List.iter (add_entry into) (List.rev (entries src));
+  let arrivals = List.rev src.entries in
+  let n = List.length into.entries in
+  (* [into]'s entries, then a slot per arrival that no key matches *)
+  let slots = Array.of_list (into.entries @ arrivals) in
+  let slot_of = Hashtbl.create (Array.length slots) in
+  (* a key's slot is its first entry in list order: the one [add] replaces *)
+  for i = n - 1 downto 0 do
+    Hashtbl.replace slot_of (dedup_key slots.(i)) i
+  done;
+  let next = ref n in
+  List.iter
+    (fun e ->
+      let key = dedup_key e in
+      match Hashtbl.find_opt slot_of key with
+      | Some i -> if better_cost e.cost_ms slots.(i).cost_ms then slots.(i) <- e
+      | None ->
+          slots.(!next) <- e;
+          Hashtbl.add slot_of key !next;
+          incr next)
+    arrivals;
+  into.entries <-
+    List.rev_append
+      (Array.to_list (Array.sub slots n (!next - n)))
+      (Array.to_list (Array.sub slots 0 n));
   into.index <- None;
   into.memo <- no_memo ()
 
 (** Entries whose normalized structure is identical to [nest] — exact
     transfer hits. *)
 let exact_matches_hash db (h : int) : entry list =
-  match db.backend with
-  | Some b -> b.b_exact h
-  | None -> List.filter (fun e -> e.canon_hash = h) db.entries
+  List.filter (fun e -> e.canon_hash = h) db.entries
 
 let exact_matches db (nest : Ir.loop) : entry list =
   exact_matches_hash db (Ir.hash_structure [ Ir.Nloop nest ])
@@ -362,7 +355,7 @@ let load (path : string) : t * string list =
             i := !j + 1
           end
   done;
-  (make (List.rev !entries), List.rev !warnings)
+  (of_entries (List.rev !entries), List.rev !warnings)
 
 (* ------------------------------------------------------------------ *)
 (* Memoized facts: fingerprint and bounding box *)
@@ -373,10 +366,9 @@ let load (path : string) : t * string list =
     a hot reload and a shard's segment check pay for one pass. *)
 let fingerprint (db : t) : string =
   let m = db.memo in
-  match (db.backend, m.fp) with
-  | Some b, _ -> b.b_fingerprint ()
-  | None, Some fp -> fp
-  | None, None ->
+  match m.fp with
+  | Some fp -> fp
+  | None ->
       let fp =
         checksum (String.concat "\n" (List.concat_map entry_body db.entries))
       in
@@ -385,7 +377,6 @@ let fingerprint (db : t) : string =
 
 (** The embeddings' bounding box, memoized like {!fingerprint}. *)
 let bounds (db : t) : (float array * float array) option =
-  if is_backed db then invalid_arg "Database.bounds: backed database";
   let m = db.memo in
   match (m.bounds, db.entries) with
   | Some box, _ -> Some box
@@ -469,18 +460,20 @@ let index_parts db =
   match db.index with Some parts -> List.length parts | None -> 0
 
 let build_index (db : t) : unit =
-  read_only db "build_index";
   (* box bounds only bound finite distances *)
   let finite e = Array.for_all Float.is_finite e.embedding in
   if not (List.for_all finite db.entries) then
     invalid_arg "Database.build_index: non-finite embedding coordinate";
   let parts =
     partition (Array.of_list db.entries)
-    |> List.map (fun es -> make (Array.to_list es))
+    |> List.map (fun es -> of_entries (Array.to_list es))
   in
   (* the boxes belong to the index: compute them now, not in a query *)
   List.iter (fun p -> ignore (bounds p)) parts;
   db.index <- Some parts
+
+let of_parts (parts : t list) : t =
+  { (of_entries (List.concat_map entries parts)) with index = Some parts }
 
 (* parts scanned by [query_parts], across every database and store *)
 let visit_count = Atomic.make 0
@@ -524,10 +517,9 @@ let query_parts (parts : t list) ~k (q : Embedding.t) : (float * entry) list =
 let query_embedding (db : t) ~k (q : Embedding.t) : (float * entry) list =
   if k <= 0 then []
   else
-    match (db.backend, db.index) with
-    | Some b, _ -> b.b_query ~k q
-    | None, Some parts -> query_parts parts ~k q
-    | None, None -> scan db ~k q
+    match db.index with
+    | Some parts -> query_parts parts ~k q
+    | None -> scan db ~k q
 
 (** [query db ~k nest] — the [k] entries nearest to [nest] in embedding
     space (closest first). *)

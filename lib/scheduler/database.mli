@@ -10,20 +10,6 @@ type entry = {
   cost_ms : float;  (** predicted runtime of the recipe; [nan] = unknown *)
 }
 
-type backend = {
-  b_size : unit -> int;
-  b_entries : unit -> entry list;
-  b_query :
-    k:int -> Daisy_embedding.Embedding.t -> (float * entry) list;
-  b_exact : int -> entry list;
-  b_fingerprint : unit -> string;
-}
-(** A pluggable read path: {!of_backend} builds a read-only database
-    handle whose {!size}/{!entries}/{!query}/{!exact_matches}/
-    {!fingerprint} delegate to these functions — how the sharded warm
-    store ({!Shardstore}) serves through the ordinary [~db] interface
-    without materialising a monolithic entry list. *)
-
 type t
 
 val create : unit -> t
@@ -31,12 +17,6 @@ val create : unit -> t
 val of_entries : entry list -> t
 (** A database holding exactly [entries] (same order as {!entries}
     returns them). *)
-
-val of_backend : backend -> t
-(** A read-only handle delegating to [backend]. Mutations ([add],
-    [merge]) and {!build_index} raise [Invalid_argument]. *)
-
-val is_backed : t -> bool
 
 val size : t -> int
 
@@ -62,7 +42,8 @@ val merge : into:t -> t -> unit
     had been replayed on [into] in order (for parallel shard seeding).
     Deduplicates like {!add}: merging the same shard twice — or
     replaying a WAL whose records were already compacted in — leaves
-    [into] bit-identical to merging it once. *)
+    [into] bit-identical to merging it once. Linear in the two sizes:
+    each entry's {!dedup_key} is formatted once. *)
 
 val dedup_key : entry -> string
 (** The content key {!add}/{!merge} deduplicate on: canonical structure
@@ -75,8 +56,9 @@ val better_cost : float -> float -> bool
 val query : t -> k:int -> Daisy_loopir.Ir.loop -> (float * entry) list
 (** The [k] nearest entries in embedding space, closest first. Runs
     {!query_parts} over the index's parts when one is attached (see
-    {!build_index}), as a linear scan otherwise — with bit-identical
-    results either way (exact top-k agreement, tie order included). *)
+    {!build_index} or {!of_parts}), as a linear scan otherwise — with
+    bit-identical results either way (exact top-k agreement, tie order
+    included). *)
 
 val query_embedding : t -> k:int -> Daisy_embedding.Embedding.t -> (float * entry) list
 (** {!query} for a pre-computed query embedding. *)
@@ -89,8 +71,7 @@ val fingerprint : t -> string
 
 val bounds : t -> (float array * float array) option
 (** The bounding box [(lo, hi)] of the entries' embeddings, [None] when
-    empty; memoized like {!fingerprint} (shared arrays: do not mutate).
-    Raises [Invalid_argument] on a backed handle. *)
+    empty; memoized like {!fingerprint} (shared arrays: do not mutate). *)
 
 val part_cap : int
 (** Entries per part of an index (512); also the sharded store's default
@@ -112,11 +93,23 @@ val build_index : t -> unit
     and attach the parts as an in-memory index. The index is a pure
     accelerator: {!query} results do not change. It is never written to
     disk, and any later {!add}/{!merge} detaches it. Raises
-    [Invalid_argument] on a backed handle or a non-finite embedding
-    coordinate. *)
+    [Invalid_argument] on a non-finite embedding coordinate. *)
+
+val of_parts : t list -> t
+(** [of_parts parts] — an ordinary database holding the entries of
+    [parts], concatenated in order, with [parts] attached as its index:
+    {!query} runs {!query_parts} over them. The parts must meet
+    {!query_parts}'s contract (finite coordinates, bit-equal embeddings
+    in one part, each part in arrival order); then every answer equals
+    the scan of the concatenation. Costs one pass over the entries. The
+    parts are shared, never mutated: a later {!add}/{!merge} on the
+    result changes its own entries and detaches the index. How the
+    sharded warm store publishes an immutable snapshot of its shard
+    views ({!Shardstore.as_database}). *)
 
 val index_parts : t -> int
-(** Parts of the attached index; [0] when none is attached. *)
+(** Parts of the attached index ({!build_index} or {!of_parts}); [0]
+    when none is attached. *)
 
 val query_parts :
   t list -> k:int -> Daisy_embedding.Embedding.t -> (float * entry) list
@@ -129,8 +122,7 @@ val query_parts :
     distance. The result equals the scan of all the parts' entries,
     distances and order, provided coordinates are finite, bit-equal
     embeddings share a part, and each part keeps arrival order. The
-    parts must be unbacked and unindexed. Each visit counts in
-    {!visits}. *)
+    parts must be unindexed. Each visit counts in {!visits}. *)
 
 val visits : unit -> int
 (** Process-wide count of parts {!query_parts} has visited and scanned:

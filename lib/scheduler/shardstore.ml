@@ -123,19 +123,19 @@ let tree_of_lines (lines : string list) : (tree * string list) option =
 
 (* Partition chronological entries into leaf shards of at most [cap]
    entries (oversized leaves only under zero spread), assigning fresh
-   leaf ids from [next_id]. *)
+   leaf ids from [next_id]; each leaf's entries come back as a database
+   (most recent first). *)
 let rec build_partition ~cap (next_id : int ref)
-    (es : Database.entry array) : tree * (int * Database.entry array) list =
-  if Array.length es <= cap then (
+    (es : Database.entry array) : tree * (int * Database.t) list =
+  let leaf () =
     let id = !next_id in
     incr next_id;
-    (Leaf id, [ (id, es) ]))
+    (Leaf id, [ (id, Database.of_entries (List.rev (Array.to_list es))) ])
+  in
+  if Array.length es <= cap then leaf ()
   else
     match Database.split_entries es with
-    | None ->
-        let id = !next_id in
-        incr next_id;
-        (Leaf id, [ (id, es) ])
+    | None -> leaf ()
     | Some (sdim, thr, l, r) ->
         let left, ls = build_partition ~cap next_id l in
         let right, rs = build_partition ~cap next_id r in
@@ -146,10 +146,10 @@ let rec build_partition ~cap (next_id : int ref)
 
 type shard = {
   sid : int;
-  mutable file : string;  (** segment basename *)
-  mutable fp : string;  (** segment content fingerprint per manifest *)
-  mutable declared : int;  (** entry count per manifest *)
-  mutable db : Database.t;  (** committed entries (immutable segment) *)
+  file : string;  (** segment basename *)
+  fp : string;  (** segment content fingerprint per manifest *)
+  declared : int;  (** entry count per manifest *)
+  db : Database.t;  (** committed entries (immutable segment) *)
   mutable pending : Database.entry list;  (** WAL entries, chronological *)
   mutable view : Database.t;
       (** committed + pending, merge-deduped; [== db] when no pending *)
@@ -198,12 +198,34 @@ let rebuild_view (sh : shard) : unit =
       Database.merge ~into:v (Database.of_entries (List.rev pend));
       sh.view <- v
 
+let new_shard ~sid ~file ~fp ~declared (db : Database.t) : shard =
+  { sid; file; fp; declared; db; pending = []; view = db; quarantined = false }
+
 let find_shard t (sid : int) : shard =
   match List.find_opt (fun sh -> sh.sid = sid) t.shards with
   | Some sh -> sh
   | None ->
       Diag.errorf "shardstore %s: routing tree references unknown shard %d"
         t.dir sid
+
+(* Route chronological entries to their shards' pending lists, then
+   rebuild each touched shard's view once, however many entries the
+   batch brings it. Every batch takes this loop: WAL replay, append,
+   and a refresh that finds the WAL grown. *)
+let add_pending t (es : Database.entry list) : unit =
+  let fresh = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Database.entry) ->
+      let sid = route t.tree e.embedding in
+      Hashtbl.replace fresh sid
+        (e :: Option.value ~default:[] (Hashtbl.find_opt fresh sid)))
+    es;
+  Hashtbl.iter
+    (fun sid rev ->
+      let sh = find_shard t sid in
+      sh.pending <- sh.pending @ List.rev rev;
+      rebuild_view sh)
+    fresh
 
 (* ------------------------------------------------------------------ *)
 (* Manifest *)
@@ -321,6 +343,11 @@ let read_manifest (path : string) : man =
             | _ -> fail "malformed shard line %S" l)
           body
       in
+      List.iter
+        (fun id ->
+          if not (List.exists (fun (sid, _, _, _) -> sid = id) m_shards) then
+            fail "routing tree references unknown shard %d" id)
+        (tree_leaves m_tree);
       {
         m_gen;
         m_next_id;
@@ -482,24 +509,26 @@ let quarantine_shard t (sh : shard) (reason : string) : unit =
       t.dir sh.sid reason (Database.size sh.db)
   end
 
-(* Load a shard's segment from disk into [sh.db]. Any whole-file
-   failure, per-entry corruption, or fingerprint mismatch quarantines
-   the shard — it keeps serving whatever loaded. *)
-let load_segment t (sh : shard) : unit =
-  let path = t.dir // sh.file in
-  match Database.load path with
-  | exception Diag.Error d -> quarantine_shard t sh (Diag.to_string d)
-  | exception Sys_error m -> quarantine_shard t sh m
-  | db, warnings -> (
-      sh.db <- db;
-      let fp = Database.fingerprint db in
-      if warnings <> [] then
-        quarantine_shard t sh
-          (Printf.sprintf "%d corrupt entries" (List.length warnings))
-      else if not (String.equal fp sh.fp) then
-        quarantine_shard t sh
-          (Printf.sprintf "fingerprint mismatch (manifest %s, segment %s)"
-             sh.fp fp))
+(* Load a shard's segment from disk. Any whole-file failure, per-entry
+   corruption, or fingerprint mismatch quarantines the shard — it keeps
+   serving whatever loaded. *)
+let load_shard t ~sid ~file ~fp ~declared : shard =
+  let db, problem =
+    match Database.load (t.dir // file) with
+    | exception Diag.Error d -> (Database.create (), Some (Diag.to_string d))
+    | exception Sys_error m -> (Database.create (), Some m)
+    | db, [] when String.equal (Database.fingerprint db) fp -> (db, None)
+    | db, [] ->
+        ( db,
+          Some
+            (Printf.sprintf "fingerprint mismatch (manifest %s, segment %s)" fp
+               (Database.fingerprint db)) )
+    | db, warnings ->
+        (db, Some (Printf.sprintf "%d corrupt entries" (List.length warnings)))
+  in
+  let sh = new_shard ~sid ~file ~fp ~declared db in
+  Option.iter (quarantine_shard t sh) problem;
+  sh
 
 (* Remove generation files no manifest entry references, plus crashed
    [atomic_write] temps ([<name>.tmp.<pid>]) — leftovers of a
@@ -559,69 +588,83 @@ let replay_wal ?(truncate_tear = false) t : int =
   end;
   t.wal_size <- good;
   t.wal_torn <- false;
-  List.iter
-    (fun (e : Database.entry) ->
-      let sh = find_shard t (route t.tree e.embedding) in
-      sh.pending <- e :: sh.pending)
-    entries;
-  List.iter
-    (fun sh ->
-      sh.pending <- List.rev sh.pending;
-      rebuild_view sh)
-    t.shards;
+  add_pending t entries;
   List.length entries
 
-let open_ ?(shard_cap = default_shard_cap) (dirname : string) : t =
-  let m = read_manifest (dirname // manifest_name) in
-  let t =
-    {
-      dir = dirname;
-      shard_cap;
-      lock = Mutex.create ();
-      gen = m.m_gen;
-      next_id = m.m_next_id;
-      tree = m.m_tree;
-      shards = [];
-      compacted = m.m_compacted;
-      scrubbed = m.m_scrubbed;
-      man_ck = m.m_ck;
-      consumed = m.m_consumed;
-      wal_size = 0;
-      wal_torn = false;
-    }
-  in
-  t.shards <-
+(* Take manifest [m] as the committed state: its counters, routing tree
+   and shard list. A loaded shard whose (file, fingerprint) [m] still
+   names keeps its segment and drops its pending entries (the WAL replay
+   that follows re-adds them); the other shards load from disk. Returns
+   the number of shards loaded. *)
+let adopt t (m : man) : int =
+  let loaded = ref 0 in
+  let shards =
     List.map
       (fun (sid, declared, fp, file) ->
-        let empty = Database.create () in
-        {
-          sid;
-          file;
-          fp;
-          declared;
-          db = empty;
-          pending = [];
-          view = empty;
-          quarantined = false;
-        })
-      (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) m.m_shards);
-  (* every tree leaf must resolve *)
-  List.iter (fun id -> ignore (find_shard t id)) (tree_leaves t.tree);
-  List.iter (fun sh -> load_segment t sh) t.shards;
-  List.iter (fun sh -> rebuild_view sh) t.shards;
+        match
+          List.find_opt
+            (fun sh ->
+              String.equal sh.file file && String.equal sh.fp fp
+              && not sh.quarantined)
+            t.shards
+        with
+        | Some sh -> new_shard ~sid ~file ~fp ~declared sh.db
+        | None ->
+            incr loaded;
+            load_shard t ~sid ~file ~fp ~declared)
+      (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) m.m_shards)
+  in
+  t.gen <- m.m_gen;
+  t.next_id <- m.m_next_id;
+  t.tree <- m.m_tree;
+  t.shards <- shards;
+  t.compacted <- m.m_compacted;
+  t.scrubbed <- m.m_scrubbed;
+  t.man_ck <- m.m_ck;
+  t.consumed <- m.m_consumed;
+  !loaded
+
+(* Bring [t] to the store on disk: adopt the manifest, collect orphans,
+   replay the WAL and truncate a torn tail. This opens a store, and heals
+   a handle that a failed compaction or scrub (injected fault, IO error)
+   left mid-mutation: disk is always a consistent pre- or post-state.
+   Caller holds the lock or owns [t]. *)
+let reload_in_place t : unit =
+  ignore (adopt t (read_manifest (man_path t)));
   gc_orphans t;
-  ignore (replay_wal ~truncate_tear:true t);
+  ignore (replay_wal ~truncate_tear:true t)
+
+let handle ~shard_cap (dir : string) : t =
+  {
+    dir;
+    shard_cap;
+    lock = Mutex.create ();
+    gen = 0;
+    next_id = 0;
+    tree = Leaf 0;
+    shards = [];
+    compacted = nan;
+    scrubbed = nan;
+    man_ck = "";
+    consumed = 0;
+    wal_size = 0;
+    wal_torn = false;
+  }
+
+let open_ ?(shard_cap = default_shard_cap) (dirname : string) : t =
+  let t = handle ~shard_cap dirname in
+  reload_in_place t;
   t
 
-(* Write one shard's segment for generation [gen]; returns the updated
-   (file, fp, declared). [fault] names the injection point fired before
+(* Write [db] as shard [sid]'s segment for generation [gen] and return
+   the shard it commits. [fault] names the injection point fired before
    the segment write. *)
-let write_segment t ~fault ~gen (sid : int) (db : Database.t) :
-    string * string * int =
+let write_shard t ~fault ~gen (sid : int) (db : Database.t) : shard =
   let file = seg_name ~sid ~gen in
   Fault.inject fault;
   Database.save db (t.dir // file);
-  (file, Database.fingerprint db, Database.size db)
+  new_shard ~sid ~file ~fp:(Database.fingerprint db)
+    ~declared:(Database.size db) db
 
 (* Box bounds prune shards only over finite embeddings, and an entry
    must not reach the WAL or a segment it could not be read back from. *)
@@ -640,64 +683,18 @@ let create ?(shard_cap = default_shard_cap) ?(overwrite = false)
   let chron = Array.of_list (List.rev (Database.entries db)) in
   let next_id = ref 0 in
   let tree, parts = build_partition ~cap:shard_cap next_id chron in
-  let t =
-    {
-      dir = dirname;
-      shard_cap;
-      lock = Mutex.create ();
-      gen = 1;
-      next_id = !next_id;
-      tree;
-      shards = [];
-      compacted = nan;
-      scrubbed = nan;
-      man_ck = "";
-      consumed = String.length wal_header;
-      wal_size = 0;
-      wal_torn = false;
-    }
-  in
+  let t = handle ~shard_cap dirname in
+  t.gen <- 1;
+  t.next_id <- !next_id;
+  t.tree <- tree;
   t.shards <-
     List.map
-      (fun (sid, es) ->
-        let sdb =
-          Database.of_entries (List.rev (Array.to_list es))
-        in
-        let file, fp, declared =
-          write_segment t ~fault:"shard_compact" ~gen:t.gen sid sdb
-        in
-        {
-          sid;
-          file;
-          fp;
-          declared;
-          db = sdb;
-          pending = [];
-          view = sdb;
-          quarantined = false;
-        })
+      (fun (sid, sdb) -> write_shard t ~fault:"shard_compact" ~gen:t.gen sid sdb)
       parts;
   reset_wal t;
   write_manifest ~fault_label:"shard_compact" t;
   gc_orphans t;
   t
-
-(* A failed compaction/scrub (injected fault, IO error) can leave the
-   in-memory handle mid-mutation; disk, though, is always a consistent
-   pre- or post-state. Reload it so the handle survives. Caller holds
-   the lock. *)
-let reload_in_place t : unit =
-  let t' = open_ ~shard_cap:t.shard_cap t.dir in
-  t.gen <- t'.gen;
-  t.next_id <- t'.next_id;
-  t.tree <- t'.tree;
-  t.shards <- t'.shards;
-  t.compacted <- t'.compacted;
-  t.scrubbed <- t'.scrubbed;
-  t.man_ck <- t'.man_ck;
-  t.consumed <- t'.consumed;
-  t.wal_size <- t'.wal_size;
-  t.wal_torn <- t'.wal_torn
 
 (* ------------------------------------------------------------------ *)
 (* Append *)
@@ -708,131 +705,66 @@ let append t (es : Database.entry list) : unit =
   else
     with_lock t (fun () ->
         wal_append t (List.map wal_record es);
-        List.iter
-          (fun (e : Database.entry) ->
-            let sh = find_shard t (route t.tree e.embedding) in
-            sh.pending <- sh.pending @ [ e ];
-            rebuild_view sh)
-          es)
+        add_pending t es)
 
 (* ------------------------------------------------------------------ *)
 (* Compaction *)
 
 let compact_locked ~now t : int =
-  let affected =
-        List.filter (fun sh -> sh.pending <> [] && not sh.quarantined) t.shards
+  let affected sh = sh.pending <> [] && not sh.quarantined in
+  if not (List.exists affected t.shards) then 0
+  else begin
+    let gen = t.gen + 1 in
+    (* fold committed + pending: partition each affected shard once,
+       rewriting it in place when one part comes back (it fits the cap,
+       or cannot split) and splitting its leaf otherwise; all
+       new-generation files land before the manifest rename commits
+       them, so a crash anywhere up to the rename is the pre-state (the
+       orphans are collected on the next open) *)
+    let fold sh =
+      let chron = Array.of_list (List.rev (Database.entries sh.view)) in
+      let next = ref t.next_id in
+      let parts =
+        match build_partition ~cap:t.shard_cap next chron with
+        | _, [ (_, db) ] -> [ (sh.sid, db) ]
+        | sub, parts ->
+            t.next_id <- !next;
+            t.tree <- replace_leaf t.tree sh.sid sub;
+            parts
       in
-      if affected = [] then 0
-      else begin
-        let gen = t.gen + 1 in
-        (* fold committed + pending, splitting shards past the cap; all
-           new-generation files land before the manifest rename commits
-           them, so a crash anywhere up to the rename is the pre-state
-           (the orphans are collected on the next open) *)
-        let rewritten = ref 0 in
-        let new_shards, removed =
-          List.fold_left
-            (fun (acc, removed) sh ->
-              if not (List.memq sh affected) then (sh :: acc, removed)
-              else begin
-                let folded = Database.of_entries (Database.entries sh.view) in
-                if Database.size folded > t.shard_cap then begin
-                  let chron =
-                    Array.of_list (List.rev (Database.entries folded))
-                  in
-                  let next = ref t.next_id in
-                  let sub, parts = build_partition ~cap:t.shard_cap next chron in
-                  (* an unsplittable oversized shard keeps its leaf *)
-                  match parts with
-                  | [ _ ] ->
-                      let file, fp, declared =
-                        write_segment t ~fault:"shard_compact" ~gen sh.sid
-                          folded
-                      in
-                      incr rewritten;
-                      ( {
-                          sh with
-                          file;
-                          fp;
-                          declared;
-                          db = folded;
-                          pending = [];
-                          view = folded;
-                        }
-                        :: acc,
-                        removed )
-                  | _ ->
-                      t.next_id <- !next;
-                      t.tree <- replace_leaf t.tree sh.sid sub;
-                      let subs =
-                        List.map
-                          (fun (sid, es) ->
-                            let sdb =
-                              Database.of_entries (List.rev (Array.to_list es))
-                            in
-                            let file, fp, declared =
-                              write_segment t ~fault:"shard_compact" ~gen sid
-                                sdb
-                            in
-                            incr rewritten;
-                            {
-                              sid;
-                              file;
-                              fp;
-                              declared;
-                              db = sdb;
-                              pending = [];
-                              view = sdb;
-                              quarantined = false;
-                            })
-                          parts
-                      in
-                      (List.rev_append subs acc, sh :: removed)
-                end
-                else begin
-                  let file, fp, declared =
-                    write_segment t ~fault:"shard_compact" ~gen sh.sid folded
-                  in
-                  incr rewritten;
-                  ( {
-                      sh with
-                      file;
-                      fp;
-                      declared;
-                      db = folded;
-                      pending = [];
-                      view = folded;
-                    }
-                    :: acc,
-                    removed )
-                end
-              end)
-            ([], []) t.shards
-        in
-        ignore removed;
-        t.shards <- List.sort (fun a b -> compare a.sid b.sid) new_shards;
-        t.gen <- gen;
-        t.compacted <- now;
-        (* Commit protocol: the WAL file is never replaced, so a
-           concurrent appender in another process is safe — the manifest
-           rename just advances [consumed] past every record folded
-           here; anything a racing appender writes lands after the
-           boundary and replays normally. Quarantined shards' pending
-           records are re-appended past the boundary first so they
-           survive a reopen; a crash between that append and the rename
-           leaves them duplicated in the WAL, which replay dedups. *)
-        let fold_boundary = t.wal_size in
-        let held =
-          List.concat_map
-            (fun sh -> if sh.quarantined then sh.pending else [])
-            t.shards
-        in
-        if held <> [] then wal_append t (List.map wal_record held);
-        t.consumed <- fold_boundary;
-        write_manifest ~fault_label:"shard_compact" t;
-        gc_orphans t;
-        !rewritten
-      end
+      List.map
+        (fun (sid, db) -> write_shard t ~fault:"shard_compact" ~gen sid db)
+        parts
+    in
+    let written =
+      List.concat_map (fun sh -> if affected sh then fold sh else []) t.shards
+    in
+    t.shards <-
+      List.sort
+        (fun a b -> compare a.sid b.sid)
+        (List.filter (fun sh -> not (affected sh)) t.shards @ written);
+    t.gen <- gen;
+    t.compacted <- now;
+    (* Commit protocol: the WAL file is never replaced, so a concurrent
+       appender in another process is safe — the manifest rename just
+       advances [consumed] past every record folded here; anything a
+       racing appender writes lands after the boundary and replays
+       normally. Quarantined shards' pending records are re-appended past
+       the boundary first so they survive a reopen; a crash between that
+       append and the rename leaves them duplicated in the WAL, which
+       replay dedups. *)
+    let fold_boundary = t.wal_size in
+    let held =
+      List.concat_map
+        (fun sh -> if sh.quarantined then sh.pending else [])
+        t.shards
+    in
+    if held <> [] then wal_append t (List.map wal_record held);
+    t.consumed <- fold_boundary;
+    write_manifest ~fault_label:"shard_compact" t;
+    gc_orphans t;
+    List.length written
+  end
 
 let compact ?(now = nan) t : int =
   with_lock t (fun () ->
@@ -852,53 +784,45 @@ type scrub_report = {
 }
 
 let scrub_locked ~repair ~now t : scrub_report =
-      let corrupt = ref 0 and repaired = ref 0 and lost = ref 0 in
-      let dirty = ref false in
-      let gen = t.gen + 1 in
-      List.iter
-        (fun sh ->
-          let path = t.dir // sh.file in
-          let disk_ok =
-            match Database.load path with
-            | exception Diag.Error _ -> false
-            | exception Sys_error _ -> false
-            | db, warnings ->
-                warnings = []
-                && String.equal (Database.fingerprint db) sh.fp
-          in
-          if not disk_ok then begin
-            incr corrupt;
-            quarantine_shard t sh "scrub: segment failed verification";
-            if repair then begin
-              (* the in-memory view (survivors + WAL replay) is the best
-                 recovery we have; write it as a fresh generation *)
-              let folded = Database.of_entries (Database.entries sh.view) in
-              let file, fp, declared =
-                write_segment t ~fault:"shard_scrub" ~gen sh.sid folded
-              in
-              lost := !lost + max 0 (sh.declared - declared);
-              sh.file <- file;
-              sh.fp <- fp;
-              sh.declared <- declared;
-              sh.db <- folded;
-              sh.pending <- [];
-              sh.view <- folded;
-              sh.quarantined <- false;
-              incr repaired;
-              dirty := true
-            end
-          end)
-        t.shards;
-      t.scrubbed <- now;
-      if !dirty then t.gen <- gen;
-      write_manifest ~fault_label:"shard_scrub" t;
-      gc_orphans t;
-      {
-        sr_shards = List.length t.shards;
-        sr_corrupt = !corrupt;
-        sr_repaired = !repaired;
-        sr_entries_lost = !lost;
-      }
+  let corrupt = ref 0 and repaired = ref 0 and lost = ref 0 in
+  let gen = t.gen + 1 in
+  let verify sh =
+    let disk_ok =
+      match Database.load (t.dir // sh.file) with
+      | exception Diag.Error _ -> false
+      | exception Sys_error _ -> false
+      | db, warnings ->
+          warnings = [] && String.equal (Database.fingerprint db) sh.fp
+    in
+    if disk_ok then sh
+    else begin
+      incr corrupt;
+      quarantine_shard t sh "scrub: segment failed verification";
+      if not repair then sh
+      else begin
+        (* the in-memory view (survivors + WAL replay) is the best
+           recovery we have; write it as a fresh generation *)
+        let fixed =
+          write_shard t ~fault:"shard_scrub" ~gen sh.sid
+            (Database.of_entries (Database.entries sh.view))
+        in
+        lost := !lost + max 0 (sh.declared - fixed.declared);
+        incr repaired;
+        fixed
+      end
+    end
+  in
+  t.shards <- List.map verify t.shards;
+  t.scrubbed <- now;
+  if !repaired > 0 then t.gen <- gen;
+  write_manifest ~fault_label:"shard_scrub" t;
+  gc_orphans t;
+  {
+    sr_shards = List.length t.shards;
+    sr_corrupt = !corrupt;
+    sr_repaired = !repaired;
+    sr_entries_lost = !lost;
+  }
 
 let scrub ?(repair = true) ?(now = nan) t : scrub_report =
   with_lock t (fun () ->
@@ -955,116 +879,37 @@ let refresh t : [ `Unchanged | `Changed of int * int ] =
             parse_wal_records s t.wal_size
           in
           t.wal_size <- good;
-          List.iter
-            (fun (e : Database.entry) ->
-              let sh = find_shard t (route t.tree e.embedding) in
-              sh.pending <- sh.pending @ [ e ];
-              rebuild_view sh)
-            entries;
+          add_pending t entries;
           if entries = [] then `Unchanged
           else `Changed (0, List.length entries)
         end
       end
-      else begin
-        (* a compaction/scrub/recreate landed: rebuild the shard list,
-           reusing any in-memory shard whose (file, fingerprint) is
-           unchanged — those keep their loaded segment *)
-        let old = t.shards in
-        t.gen <- m.m_gen;
-        t.next_id <- m.m_next_id;
-        t.tree <- m.m_tree;
-        t.compacted <- m.m_compacted;
-        t.scrubbed <- m.m_scrubbed;
-        t.man_ck <- m.m_ck;
-        let swapped = ref 0 in
-        t.shards <-
-          List.map
-            (fun (sid, declared, fp, file) ->
-              match
-                List.find_opt
-                  (fun sh ->
-                    String.equal sh.file file
-                    && String.equal sh.fp fp
-                    && not sh.quarantined)
-                  old
-              with
-              | Some sh ->
-                  sh.pending <- [];
-                  sh.view <- sh.db;
-                  { sh with sid; declared }
-              | None ->
-                  incr swapped;
-                  let empty = Database.create () in
-                  let sh =
-                    {
-                      sid;
-                      file;
-                      fp;
-                      declared;
-                      db = empty;
-                      pending = [];
-                      view = empty;
-                      quarantined = false;
-                    }
-                  in
-                  load_segment t sh;
-                  sh)
-            (List.sort
-               (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-               m.m_shards);
-        List.iter (fun id -> ignore (find_shard t id)) (tree_leaves t.tree);
-        t.consumed <- m.m_consumed;
-        t.wal_size <- 0;
-        let appended = replay_wal t in
-        `Changed (!swapped, appended)
-      end)
+      else
+        (* a compaction/scrub/recreate landed *)
+        let swapped = adopt t m in
+        `Changed (swapped, replay_wal t))
 
 (* ------------------------------------------------------------------ *)
-(* Queries *)
+(* Snapshots *)
 
-let snapshot_views t : Database.t list =
-  with_lock t (fun () -> List.map (fun sh -> sh.view) t.shards)
-
-let size t : int =
-  List.fold_left (fun a v -> a + Database.size v) 0 (snapshot_views t)
-
-let entries t : Database.entry list =
-  List.concat_map Database.entries (snapshot_views t)
-
-(* Exact cross-shard top-k: {!Database.query_parts} over the shard
-   views (committed + pending entries). Routing keeps bit-equal
-   embeddings in one shard and each view keeps arrival order. *)
-let query_embedding t ~k (q : Embedding.t) : (float * Database.entry) list =
-  Database.query_parts (snapshot_views t) ~k q
-
-let exact_matches_hash t (h : int) : Database.entry list =
-  List.concat_map
-    (fun v -> Database.exact_matches_hash v h)
-    (snapshot_views t)
+(* One pass over the entries: {!Database.of_parts} concatenates the
+   shard views (committed + pending entries) and searches them as its
+   parts. Routing keeps bit-equal embeddings in one shard and each view
+   keeps arrival order; views are replaced, never mutated, so the
+   snapshot stays as it was taken. *)
+let as_database t : Database.t =
+  Database.of_parts
+    (with_lock t (fun () -> List.map (fun sh -> sh.view) t.shards))
 
 (* Logical content fingerprint: the checksum of every entry body,
    sorted — invariant under partitioning, compaction and splits, so hot
    reload only swaps when the {e contents} changed. *)
 let fingerprint t : string =
-  let bodies =
-    List.concat_map
-      (fun v ->
-        List.map
-          (fun e -> String.concat "\n" (Database.entry_to_lines e))
-          (Database.entries v))
-      (snapshot_views t)
-  in
-  Util.fnv1a64 (String.concat "\n\n" (List.sort String.compare bodies))
-
-let as_database t : Database.t =
-  Database.of_backend
-    {
-      Database.b_size = (fun () -> size t);
-      b_entries = (fun () -> entries t);
-      b_query = (fun ~k q -> query_embedding t ~k q);
-      b_exact = (fun h -> exact_matches_hash t h);
-      b_fingerprint = (fun () -> fingerprint t);
-    }
+  Database.entries (as_database t)
+  |> List.map (fun e -> String.concat "\n" (Database.entry_to_lines e))
+  |> List.sort String.compare
+  |> String.concat "\n\n"
+  |> Util.fnv1a64
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)

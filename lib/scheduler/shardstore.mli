@@ -80,7 +80,10 @@ val compact : ?now:float -> t -> int
     advances the [consumed] boundary rather than touching the WAL file,
     so a concurrent appender in another process loses nothing. Returns
     the number of shards rewritten (0 = nothing to fold). [now] stamps
-    the manifest's last-compaction time. *)
+    the manifest's last-compaction time. A failed compaction re-raises
+    after bringing the handle back to the store on disk, as {!refresh}
+    does: loaded shards the manifest still names are kept, the rest are
+    reloaded, and the WAL is replayed. *)
 
 val trim_wal : t -> int
 (** Drop the consumed (already-folded) WAL prefix; returns the bytes
@@ -99,7 +102,8 @@ val scrub : ?repair:bool -> ?now:float -> t -> scrub_report
 (** Walk every shard verifying segment checksums + fingerprint. A bad
     segment is quarantined and — with [repair], the default — rewritten
     from the in-memory state (survivors + WAL replay) under the
-    ["shard_scrub"] fault label. *)
+    ["shard_scrub"] fault label. A failed scrub heals the handle like a
+    failed {!compact}. *)
 
 val refresh : t -> [ `Unchanged | `Changed of int * int ]
 (** Follow an external writer: re-read the manifest and WAL.
@@ -108,27 +112,20 @@ val refresh : t -> [ `Unchanged | `Changed of int * int ]
     identity: per-shard hot reload), [appended] new WAL records
     replayed. *)
 
-val size : t -> int
-val entries : t -> Database.entry list
-(** All entries (committed + pending, deduped), grouped by shard. *)
-
-val query_embedding :
-  t -> k:int -> Daisy_embedding.Embedding.t -> (float * Database.entry) list
-(** Exact top-k across shards: {!Database.query_parts} over the shard
-    views (committed + pending entries) — bit-identical (distances and
-    order) to the monolithic scan of {!entries}. Each visited shard
-    counts in {!Database.visits}. *)
-
-val exact_matches_hash : t -> int -> Database.entry list
-
 val fingerprint : t -> string
 (** Logical content fingerprint (sorted entry bodies): invariant under
     partitioning, compaction and splits — the hot-reload staleness
     rule. *)
 
 val as_database : t -> Database.t
-(** A read-only {!Database.t} handle serving through this store
-    ({!Database.of_backend}) — drop-in for every [~db] consumer. *)
+(** An immutable snapshot of the store: {!Database.of_parts} over the
+    shard views (committed + pending entries), so its top-k is the
+    cross-shard search — bit-identical (distances and order) to the
+    scan of its entries — and each visited shard counts in
+    {!Database.visits}. Later appends, refreshes and compactions do not
+    reach a snapshot already taken, and a merge into the snapshot does
+    not reach the store. Costs one pass over the entries: [Store]
+    takes one per published reload, never one per query. *)
 
 type stats = {
   st_shards : int;

@@ -4,7 +4,9 @@
 
 type snapshot = {
   db : Daisy_scheduler.Database.t;
-  fingerprint : string;  (** {!Daisy_scheduler.Database.fingerprint} *)
+  fingerprint : string;
+      (** {!Daisy_scheduler.Database.fingerprint} for a file,
+          {!Daisy_scheduler.Shardstore.fingerprint} for a directory *)
 }
 
 type t
@@ -17,18 +19,17 @@ val create : ?path:string -> unit -> t
     beside it is neither read nor touched. A reload that swaps in new
     contents indexes them afresh.
     When [path] is a sharded store directory
-    ({!Daisy_scheduler.Shardstore.is_store_dir}) the snapshot serves
-    {e through} the shard store instead, with per-shard hot reload and
-    quarantine-degraded corruption handling. Without [path], an empty
-    store (requests are served from baselines only). *)
+    ({!Daisy_scheduler.Shardstore.is_store_dir}) the snapshot is
+    {!Daisy_scheduler.Shardstore.as_database}, one index part per shard,
+    with per-shard hot reload and quarantine-degraded corruption
+    handling. Without [path], an empty store (requests are served from
+    baselines only). *)
 
 val snapshot : t -> snapshot
-(** The current snapshot. For a monolithic file it is immutable once
-    returned: in-flight requests keep serving from it across a
-    concurrent reload. For a sharded store it is not: its [db] reads the
-    live shard views at every call
-    ({!Daisy_scheduler.Shardstore.as_database}), so one request can see
-    the store before and after a refresh. *)
+(** The current snapshot. Every snapshot is immutable once returned:
+    in-flight requests keep serving from it across a concurrent reload,
+    refresh, compaction or scrub, so one request never mixes two states
+    of the store. *)
 
 val db : t -> Daisy_scheduler.Database.t
 val fingerprint : t -> string
@@ -47,8 +48,9 @@ val shard_swaps : t -> int
 
 val reload_if_changed :
   ?force:bool -> t -> [ `Reloaded of string | `Unchanged | `Failed of string ]
-(** Cheap [stat] pre-check (skipped with [force]), then reload and swap
-    only when the content fingerprint changed. A failed reload — file
-    unreadable, bad magic, injected ["serve_reload"] fault — keeps the
-    previous snapshot and returns [`Failed]: a hot reload can never
-    take a serving daemon down. *)
+(** Cheap [stat] pre-check (skipped with [force]), then re-read the file
+    or {!Daisy_scheduler.Shardstore.refresh} the directory, and publish a
+    new snapshot only when the content fingerprint changed. A failed
+    reload — file unreadable, bad magic, injected ["serve_reload"] fault
+    — keeps the previous snapshot and returns [`Failed]: a hot reload
+    can never take a serving daemon down. *)

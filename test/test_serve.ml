@@ -15,6 +15,9 @@ module Util = Daisy_support.Util
 module Diag = Daisy_support.Diag
 module Fault = Daisy_support.Fault
 module S = Daisy_scheduler
+module Shardstore = S.Shardstore
+module Embedding = Daisy_embedding.Embedding
+module Rng = Daisy_support.Rng
 
 let gemm_src =
   {|void f(int n, double C[n][n], double A[n][n], double B[n][n]) {
@@ -556,6 +559,131 @@ let test_store_reload () =
         (Store.fingerprint store);
       Sys.remove path)
 
+(* Warm store over a sharded store directory: the entries a test store
+   starts with, one entry the external writer adds per step (each a new
+   exact match for hash 7, alone at its own point), and the two reads a
+   request makes *)
+
+let dir_base =
+  let rng = Rng.of_string "serve-store-dir" in
+  List.init 60 (fun i ->
+      {
+        S.Database.source = Printf.sprintf "base:%d" i;
+        embedding =
+          Array.init Embedding.dim (fun _ -> float_of_int (Rng.int rng 4));
+        recipe = [];
+        canon_hash = i;
+        cost_ms = 1.0;
+      })
+
+let dir_entry step : S.Database.entry =
+  let recipe = Printf.sprintf "[parallel(%d)]" step in
+  {
+    S.Database.source = Printf.sprintf "external:%d" step;
+    embedding = Array.make Embedding.dim (0.5 +. float_of_int step);
+    recipe = Result.get_ok (Daisy_transforms.Recipe.of_string recipe);
+    canon_hash = 7;
+    cost_ms = 1.0;
+  }
+
+let exact db =
+  List.map
+    (fun (e : S.Database.entry) -> e.source)
+    (S.Database.exact_matches_hash db 7)
+
+let top5 db q =
+  List.map
+    (fun (d, (e : S.Database.entry)) -> (d, e.source))
+    (S.Database.query_embedding db ~k:5 q)
+
+let with_store_dir f =
+  Test_shardstore.with_dir (fun dir ->
+      let path = Filename.concat dir "store" in
+      ignore
+        (Shardstore.create ~shard_cap:8 path
+           (S.Database.of_entries (List.rev dir_base)));
+      f (Store.create ~path ()) (Shardstore.open_ path))
+
+let parts_are_shards what store =
+  Alcotest.(check int) (what ^ ": one index part per shard")
+    (Option.get (Store.shard_stats store)).Shardstore.st_shards
+    (S.Database.index_parts (Store.db store))
+
+let test_store_dir_reload () =
+  with_faults (fun () ->
+      with_store_dir (fun store writer ->
+          parts_are_shards "at open" store;
+          let fp0 = Store.fingerprint store in
+          Alcotest.(check string) "the directory's fingerprint" fp0
+            (Shardstore.fingerprint writer);
+          (* an external append + compact: the new entry answers *)
+          let e1 = dir_entry 1 in
+          Shardstore.append writer [ e1 ];
+          ignore (Shardstore.compact writer);
+          (match Store.reload_if_changed store with
+          | `Reloaded fp ->
+              Alcotest.(check string) "reported fingerprint"
+                (Shardstore.fingerprint writer) fp
+          | `Unchanged -> Alcotest.fail "append + compact not picked up"
+          | `Failed m -> Alcotest.failf "reload failed: %s" m);
+          Alcotest.(check (list string)) "new exact match"
+            [ "base:7"; "external:1" ]
+            (List.sort compare (exact (Store.db store)));
+          (match top5 (Store.db store) e1.embedding with
+          | (0.0, "external:1") :: _ -> ()
+          | _ -> Alcotest.fail "the appended entry is not its own top-1");
+          parts_are_shards "after a reload" store;
+          (* an external pure compaction: files change, content does not *)
+          Shardstore.append writer [ dir_entry 2 ];
+          (match Store.reload_if_changed ~force:true store with
+          | `Reloaded _ -> ()
+          | _ -> Alcotest.fail "append not picked up from the WAL");
+          let fp2 = Store.fingerprint store and swaps = Store.shard_swaps store in
+          ignore (Shardstore.compact writer);
+          (match Store.reload_if_changed ~force:true store with
+          | `Unchanged -> ()
+          | _ -> Alcotest.fail "a pure compaction must not republish");
+          Alcotest.(check string) "same fingerprint" fp2 (Store.fingerprint store);
+          Alcotest.(check bool) "the compacted shards were swapped" true
+            (Store.shard_swaps store > swaps);
+          (* an armed serve_reload fault keeps the previous snapshot *)
+          Shardstore.append writer [ dir_entry 3 ];
+          let db = Store.db store in
+          Fault.arm_always "serve_reload";
+          (match Store.reload_if_changed ~force:true store with
+          | `Failed _ -> ()
+          | _ -> Alcotest.fail "injected fault must fail the reload");
+          Fault.clear ();
+          Alcotest.(check bool) "previous snapshot kept" true (Store.db store == db);
+          Alcotest.(check string) "previous fingerprint kept" fp2
+            (Store.fingerprint store);
+          Alcotest.(check int) "failure counted" 1 (Store.failed_reloads store);
+          (match Store.reload_if_changed ~force:true store with
+          | `Reloaded _ -> ()
+          | _ -> Alcotest.fail "the retry must pick the append up");
+          Alcotest.(check int) "three reloads" 3 (Store.reloads store)))
+
+(* A snapshot taken before a reload keeps answering as it did: one
+   request never mixes two states of the store. *)
+let test_store_dir_snapshot () =
+  with_store_dir (fun store writer ->
+      let e1 = dir_entry 1 in
+      let before = Store.db store in
+      let size = S.Database.size before
+      and matches = exact before
+      and near = top5 before e1.embedding in
+      Shardstore.append writer [ e1 ];
+      ignore (Shardstore.compact writer);
+      (match Store.reload_if_changed store with
+      | `Reloaded _ -> ()
+      | _ -> Alcotest.fail "append + compact not picked up");
+      Alcotest.(check int) "size" size (S.Database.size before);
+      Alcotest.(check (list string)) "exact matches" matches (exact before);
+      Alcotest.(check (list (pair (float 0.0) string))) "top-5" near
+        (top5 before e1.embedding);
+      Alcotest.(check int) "the new snapshot holds the entry" (size + 1)
+        (S.Database.size (Store.db store)))
+
 (* ------------------------------------------------------------------ *)
 (* Satellites: per-label warning throttle, EINTR-safe IO               *)
 
@@ -624,6 +752,10 @@ let suite =
     Alcotest.test_case "retry, poison, quarantine" `Quick test_retry_and_poison;
     Alcotest.test_case "graceful degradation" `Quick test_degraded;
     Alcotest.test_case "warm-store reload" `Quick test_store_reload;
+    Alcotest.test_case "warm-store reload (directory)" `Quick
+      test_store_dir_reload;
+    Alcotest.test_case "warm-store snapshot outlives a reload" `Quick
+      test_store_dir_snapshot;
     Alcotest.test_case "warning throttle" `Quick test_warn_throttle;
     Alcotest.test_case "eintr-safe io" `Quick test_eintr_io;
   ]

@@ -68,10 +68,14 @@ let topk_key (l : (float * S.Database.entry) list) =
 
 let result = Alcotest.(list (pair (float 0.0) string))
 
+(* the store's top-k and size, read through a snapshot *)
+let query store ~k q = S.Database.query_embedding (Store.as_database store) ~k q
+let size store = S.Database.size (Store.as_database store)
+
 let check_topk ~name store mono ~k q =
   Alcotest.check result name
     (topk_key (S.Database.query_embedding mono ~k q))
-    (topk_key (Store.query_embedding store ~k q))
+    (topk_key (query store ~k q))
 
 (* ------------------------------------------------------------------ *)
 (* Round-trip + as_database *)
@@ -82,7 +86,7 @@ let test_roundtrip () =
       let chron = mk_entries rng ~n:60 in
       let st = Store.create ~shard_cap:8 dir (mono_of chron) in
       let mono = mono_of chron in
-      Alcotest.(check int) "size" 60 (Store.size st);
+      Alcotest.(check int) "size" 60 (size st);
       Alcotest.(check bool)
         "several shards" true ((Store.stats st).Store.st_shards > 1);
       for i = 0 to 9 do
@@ -96,20 +100,30 @@ let test_roundtrip () =
         (Store.fingerprint st2);
       let q = random_q rng ~grid:4 in
       check_topk ~name:"reopened query" st2 mono ~k:5 q;
-      (* the Database.of_backend handle serves the same answers *)
+      (* a snapshot serves the same answers, one index part per shard *)
       let db = Store.as_database st in
-      Alcotest.(check int) "backed size" 60 (S.Database.size db);
-      Alcotest.check result "backed query"
+      Alcotest.(check int) "snapshot size" 60 (S.Database.size db);
+      Alcotest.(check int)
+        "one part per shard" (Store.stats st).Store.st_shards
+        (S.Database.index_parts db);
+      Alcotest.check result "snapshot query"
         (topk_key (S.Database.query_embedding mono ~k:7 q))
         (topk_key (S.Database.query_embedding db ~k:7 q));
       let h = 17 in
       Alcotest.(check int)
-        "backed exact matches"
+        "snapshot exact matches"
         (List.length (S.Database.exact_matches_hash mono h))
         (List.length (S.Database.exact_matches_hash db h));
-      Alcotest.check_raises "backed db is read-only"
-        (Invalid_argument "Database.merge: backed database is read-only")
-        (fun () -> S.Database.merge ~into:db (mono_of [])))
+      (* merging into a snapshot changes neither the store nor a fresh
+         snapshot *)
+      let fp = Store.fingerprint st in
+      S.Database.merge ~into:db (mono_of [ mk_entry ~grid:4 rng 100 ]);
+      Alcotest.(check int) "the snapshot took the merge" 61 (S.Database.size db);
+      Alcotest.(check string) "store unchanged" fp (Store.fingerprint st);
+      Alcotest.(check int) "fresh snapshot unchanged" 60 (size st);
+      Alcotest.check result "fresh snapshot answers unchanged"
+        (topk_key (S.Database.query_embedding mono ~k:7 q))
+        (topk_key (query st ~k:7 q)))
 
 (* ------------------------------------------------------------------ *)
 (* The routing tree pinned: every top-k differential passes for any valid
@@ -306,7 +320,7 @@ let test_compact_crash_points () =
           let st, q = build dir in
           ignore (Store.compact st);
           expected_fp := Store.fingerprint st;
-          expected_q := topk_key (Store.query_embedding st ~k:10 q));
+          expected_q := topk_key (query st ~k:10 q));
       let nth = ref 1 in
       let continue = ref true in
       while !continue && !nth <= 40 do
@@ -338,7 +352,7 @@ let test_compact_crash_points () =
                 Alcotest.check result
                   (Printf.sprintf "crash %d: reopen answers" !nth)
                   !expected_q
-                  (topk_key (Store.query_embedding st2 ~k:10 q));
+                  (topk_key (query st2 ~k:10 q));
                 (* resume: compaction completes on the reopened store *)
                 ignore (Store.compact st2);
                 Alcotest.(check int)
@@ -427,7 +441,7 @@ let test_corrupt_one_shard () =
         Alcotest.check result
           (Printf.sprintf "degraded query %d" i)
           (topk_key (S.Database.query_embedding mono ~k:10 q))
-          (topk_key (Store.query_embedding st ~k:10 q))
+          (topk_key (query st ~k:10 q))
       done;
       (* exactly one throttled warning, however many queries ran *)
       Alcotest.(check int)
@@ -565,7 +579,7 @@ let test_idempotent_replay () =
       Store.append st extra;
       ignore (Store.compact st);
       Alcotest.(check string) "double append is a no-op" fp (Store.fingerprint st);
-      Alcotest.(check int) "size stable" 40 (Store.size st));
+      Alcotest.(check int) "size stable" 40 (size st));
   (* the Database-level satellite: merge twice == merge once; a
      better-cost duplicate replaces in place *)
   let rng = Rng.of_string "shard-idem-db" in
@@ -588,6 +602,115 @@ let test_idempotent_replay () =
       (S.Database.entries into)
   in
   Alcotest.(check string) "better cost won in place" "better" winner.source
+
+(* [Database.merge]'s key table against its reference, [Database.add]
+   entry by entry: random batches whose keys repeat inside the batch and
+   against the base (which may itself hold a key twice), with unknown,
+   tied and distinct costs. Entries, order and fingerprint must agree. *)
+let test_merge_is_adds () =
+  let nest src =
+    match (Test_ann.lower src).Daisy_loopir.Ir.body with
+    | [ Daisy_loopir.Ir.Nloop l ] -> l
+    | _ -> Alcotest.fail "nest"
+  in
+  let nests =
+    [|
+      nest Test_ann.gemm_src;
+      nest
+        {|void f(int n, double y[n], double x[n]) {
+            for (int i = 0; i < n; i++) y[i] = y[i] + 2.0 * x[i];
+          }|};
+    |]
+  in
+  let recipes =
+    Array.map
+      (fun r -> Result.get_ok (Daisy_transforms.Recipe.of_string r))
+      [| "[]"; "[parallel(0)]"; "[vectorize]" |]
+  in
+  let sources db =
+    List.map
+      (fun (e : S.Database.entry) -> Printf.sprintf "%s@%h" e.source e.cost_ms)
+      (S.Database.entries db)
+  in
+  for seed = 0 to 199 do
+    let rng = Rng.of_string (Printf.sprintf "merge-adds-%d" seed) in
+    let draw i =
+      let cost_ms =
+        match Rng.int rng 3 with
+        | 0 -> nan
+        | 1 -> 1.0
+        | _ -> float_of_int (Rng.int rng 4)
+      in
+      ( Printf.sprintf "e%d" i,
+        nests.(Rng.int rng (Array.length nests)),
+        recipes.(Rng.int rng (Array.length recipes)),
+        cost_ms )
+    in
+    let add db (source, nest, recipe, cost_ms) =
+      S.Database.add ~cost_ms db ~source ~nest ~recipe
+    in
+    let entry x =
+      let db = S.Database.create () in
+      add db x;
+      List.hd (S.Database.entries db)
+    in
+    let base = List.rev_map entry (List.init (Rng.int rng 8) draw) in
+    let batch = List.init (Rng.int rng 16) (fun i -> draw (100 + i)) in
+    let reference = S.Database.of_entries base in
+    List.iter (add reference) batch;
+    let merged = S.Database.of_entries base in
+    S.Database.merge ~into:merged (S.Database.of_entries (List.rev_map entry batch));
+    let what = Printf.sprintf "seed %d" seed in
+    Alcotest.(check (list string)) (what ^ ": entries") (sources reference)
+      (sources merged);
+    Alcotest.(check string) (what ^ ": fingerprint")
+      (S.Database.fingerprint reference) (S.Database.fingerprint merged)
+  done
+
+(* Appending a batch entry by entry or all at once leaves the same store:
+   the same WAL bytes and snapshot, and after a compaction that splits
+   shards the same files. *)
+let test_append_batch () =
+  with_dir (fun dir ->
+      let rng = Rng.of_string "shard-append-batch" in
+      let base = mk_entries ~grid:4 rng ~n:40 in
+      let batch =
+        List.init 40 (fun i ->
+            mk_entry ~grid:4 ~hash:(i mod 9) ~cost:(float_of_int (i mod 4)) rng
+              (100 + i))
+        @ List.map
+            (fun (e : S.Database.entry) -> { e with source = "retuned"; cost_ms = 0.5 })
+            (Daisy_support.Util.take 5 base)
+      in
+      let one = Filename.concat dir "one" and all = Filename.concat dir "all" in
+      let st_one = Store.create ~shard_cap:8 one (mono_of base) in
+      let st_all = Store.create ~shard_cap:8 all (mono_of base) in
+      List.iter (fun e -> Store.append st_one [ e ]) batch;
+      Store.append st_all batch;
+      let files d =
+        Array.to_list (Sys.readdir d)
+        |> List.sort compare
+        |> List.map (fun f ->
+               (f, In_channel.with_open_bin (Filename.concat d f) In_channel.input_all))
+      in
+      let same what =
+        Alcotest.(check (list (pair string string))) (what ^ ": files") (files one)
+          (files all);
+        Alcotest.(check (list string)) (what ^ ": snapshot entries")
+          (List.map (fun (e : S.Database.entry) -> e.source)
+             (S.Database.entries (Store.as_database st_one)))
+          (List.map (fun (e : S.Database.entry) -> e.source)
+             (S.Database.entries (Store.as_database st_all)));
+        Alcotest.(check string) (what ^ ": fingerprint") (Store.fingerprint st_one)
+          (Store.fingerprint st_all)
+      in
+      same "appended";
+      let shards = (Store.stats st_all).Store.st_shards in
+      ignore (Store.compact st_one);
+      ignore (Store.compact st_all);
+      Alcotest.(check bool) "the compaction split shards" true
+        ((Store.stats st_all).Store.st_shards > shards);
+      same "compacted")
 
 (* ------------------------------------------------------------------ *)
 (* trim_wal: compaction only advances the consumed boundary — the WAL
@@ -620,7 +743,7 @@ let test_trim_wal () =
       (* appends keep working on the trimmed log *)
       Store.append st2 [ mk_entry ~grid:4 rng 102 ];
       Alcotest.(check int) "append after trim" 1 (Store.wal_depth st2);
-      Alcotest.(check int) "size grew" 23 (Store.size st2))
+      Alcotest.(check int) "size grew" 23 (size st2))
 
 (* ------------------------------------------------------------------ *)
 (* refresh: a reader follows an external writer, swapping only the
@@ -655,8 +778,8 @@ let test_refresh () =
         (Store.fingerprint reader);
       let q = random_q rng ~grid:4 in
       Alcotest.check result "reader answers match writer"
-        (topk_key (Store.query_embedding writer ~k:10 q))
-        (topk_key (Store.query_embedding reader ~k:10 q));
+        (topk_key (query writer ~k:10 q))
+        (topk_key (query reader ~k:10 q));
       Alcotest.(check bool)
         "steady state" true (Store.refresh reader = `Unchanged))
 
@@ -748,7 +871,7 @@ let test_prune_pending () =
       let x = between rng 200 in
       Store.append st [ x ];
       let mono = mono_of (chron @ [ x ]) in
-      (match Store.query_embedding st ~k:1 x.embedding with
+      (match query st ~k:1 x.embedding with
       | [ (d, e) ] ->
           Alcotest.(check string) "pending entry found" x.source e.source;
           Alcotest.(check (float 0.0)) "at distance 0" 0.0 d
@@ -921,6 +1044,9 @@ let suite =
     Alcotest.test_case "incremental rebuild" `Quick test_incremental_rebuild;
     Alcotest.test_case "split on growth" `Quick test_split_on_growth;
     Alcotest.test_case "idempotent replay" `Quick test_idempotent_replay;
+    Alcotest.test_case "merge == replayed adds" `Quick test_merge_is_adds;
+    Alcotest.test_case "append: one by one == one batch" `Quick
+      test_append_batch;
     Alcotest.test_case "WAL trim" `Quick test_trim_wal;
     Alcotest.test_case "reader refresh" `Quick test_refresh;
     Alcotest.test_case "pruning: far shards untouched" `Quick
