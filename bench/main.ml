@@ -17,10 +17,6 @@ let experiments =
     ("fig12b", "CLOUDSC weak scaling", Fig_cloudsc.fig12b);
     ("ablation", "design-choice ablations", Ablation.run);
     ("micro", "toolchain micro-benchmarks (bechamel)", Micro.run);
-    ("interp", "interpreter engines: tree vs bytecode (BENCH_interp.json)",
-     Micro.interp_bench_full);
-    ("interp-smoke", "interpreter engine comparison, tiny sizes (CI smoke)",
-     Micro.interp_bench_smoke);
     ("trace", "trace engines: tree vs bytecode vs sampled (BENCH_trace.json)",
      Micro.trace_bench_full);
     ("trace-smoke", "trace engine comparison, two kernels (CI smoke)",
@@ -92,8 +88,7 @@ let () =
         List.filter_map
           (fun (n, _, _) ->
             if
-              n = "interp-smoke" || n = "trace-smoke" || n = "ann-smoke"
-              || n = "shard-smoke"
+              n = "trace-smoke" || n = "ann-smoke" || n = "shard-smoke"
             then None
             else Some n)
           experiments

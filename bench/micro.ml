@@ -65,33 +65,11 @@ let test_interp =
            (Daisy_interp.Interp.run_fresh program ~sizes:Pb.gemm.Pb.test_sizes
               ())))
 
-let test_interp_bytecode =
-  Test.make ~name:"interp: execute gemm bytecode (tiny)"
-    (Staged.stage (fun () ->
-         ignore
-           (Daisy_interp.Interp.run_bytecode_fresh program
-              ~sizes:Pb.gemm.Pb.test_sizes ())))
-
 let benchmarks =
   [ test_parse; test_lift; test_dependence; test_dependence_warm;
-    test_normalize; test_simulate; test_interp; test_interp_bytecode ]
+    test_normalize; test_simulate; test_interp ]
 
-(* ------------------------------------------------------------------ *)
-(* Tree vs bytecode interpreter: wall-clock + BENCH_interp.json          *)
-
-module Interp = Daisy_interp.Interp
-
-(** The interpreter comparison sweeps every PolyBench kernel. "tiny" is
-    each kernel's interpreter test size; "default" is that size scaled 4x
-    linearly — large enough that execution dominates engine setup, small
-    enough that the tree oracle finishes promptly. *)
-let interp_kernels = Pb.all
-
-let interp_bench_sizes (b : Pb.benchmark) =
-  [ ("tiny", b.Pb.test_sizes);
-    ("default", List.map (fun (k, v) -> (k, v * 4)) b.Pb.test_sizes) ]
-
-(** Median-of-[reps] wall-clock of [f] (fresh state per repetition). *)
+(** Median-of-[reps] wall-clock of [f]. *)
 let median_time reps f =
   let times =
     List.init reps (fun _ ->
@@ -100,114 +78,6 @@ let median_time reps f =
         Unix.gettimeofday () -. t0)
   in
   List.nth (List.sort compare times) (reps / 2)
-
-type interp_row = {
-  kernel : string;
-  size_label : string;
-  sizes : (string * int) list;
-  tree_s : float;
-  bytecode_s : float;
-}
-
-(** Machine-readable perf-trajectory record: one JSON object per
-    (kernel, size) with the wall-clock of both semantic engines. Schema 3
-    drops schema 2's closure columns; [tree_s], [bytecode_s] and
-    [speedup_bytecode] keep their meaning. Accumulated across PRs by CI
-    (see docs/performance.md). *)
-let write_interp_json ~path (rows : interp_row list) =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"interp\",\n  \"schema\": 3,\n  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      let sizes =
-        String.concat ", "
-          (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) r.sizes)
-      in
-      out
-        "    {\"kernel\": \"%s\", \"size\": \"%s\", \"sizes\": {%s}, \
-         \"tree_s\": %.6f, \"bytecode_s\": %.6f, \
-         \"speedup_bytecode\": %.2f}%s\n"
-        r.kernel r.size_label sizes r.tree_s r.bytecode_s
-        (r.tree_s /. r.bytecode_s)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  close_out oc
-
-let geomean xs =
-  exp
-    (List.fold_left (fun a x -> a +. log x) 0.0 xs
-    /. float_of_int (max 1 (List.length xs)))
-
-(** [interp_bench ~smoke ()] — engine wall-clock (compile + execute, on a
-    state prepared once per engine so allocation and initialization are
-    excluded) of the tree-walking oracle vs the flat-bytecode VM, plus a
-    bitwise-identity check of their final states, written to
-    BENCH_interp.json. The headline number is the geomean
-    bytecode-over-tree ratio at the default (4x) sizes — the bar is
-    >= 50x (docs/performance.md, "Bytecode engine"). [~smoke:true]
-    restricts to tiny sizes with one repetition (the CI smoke
-    configuration). *)
-let interp_bench ?(smoke = false) () =
-  let reps = if smoke then 1 else 3 in
-  let rows =
-    List.concat_map
-      (fun (b : Pb.benchmark) ->
-        let p = Pb.program b in
-        let sizes_list =
-          if smoke then [ List.hd (interp_bench_sizes b) ]
-          else interp_bench_sizes b
-        in
-        List.map
-          (fun (size_label, sizes) ->
-            let engine_time run =
-              let st = Interp.init p ~sizes () in
-              median_time reps (fun () -> run p st)
-            in
-            let tree_s = engine_time (fun p st -> Interp.run p st) in
-            let bytecode_s = engine_time (fun p st -> Interp.run_bytecode p st) in
-            { kernel = b.Pb.name; size_label; sizes; tree_s; bytecode_s })
-          sizes_list)
-      interp_kernels
-  in
-  Format.printf "@.Interpreter engines: tree oracle vs bytecode@.";
-  Format.printf "  %-12s %-8s %12s %12s %9s@." "kernel" "size" "tree (s)"
-    "bytecode (s)" "vs tree";
-  List.iter
-    (fun r ->
-      Format.printf "  %-12s %-8s %12.6f %12.6f %8.1fx@." r.kernel r.size_label
-        r.tree_s r.bytecode_s
-        (r.tree_s /. r.bytecode_s))
-    rows;
-  let headline =
-    let selected =
-      if smoke then rows
-      else List.filter (fun r -> r.size_label = "default") rows
-    in
-    geomean (List.map (fun r -> r.tree_s /. r.bytecode_s) selected)
-  in
-  Format.printf
-    "  geomean bytecode speedup over tree (%s sizes): %.2fx (bar: >= 50x at \
-     default sizes)@."
-    (if smoke then "tiny" else "default")
-    headline;
-  (* the states must be bitwise identical, not just fast *)
-  let identical =
-    List.for_all
-      (fun (b : Pb.benchmark) ->
-        let p = Pb.program b in
-        let s1 = Interp.run_fresh p ~sizes:b.Pb.test_sizes () in
-        let s2 = Interp.run_bytecode_fresh p ~sizes:b.Pb.test_sizes () in
-        Interp.max_rel_diff p s1 s2 = 0.0)
-      interp_kernels
-  in
-  Format.printf "  bytecode == tree final states: %b@." identical;
-  write_interp_json ~path:"BENCH_interp.json" rows;
-  Format.printf "  [wrote BENCH_interp.json]@."
-
-let interp_bench_full () = interp_bench ()
-let interp_bench_smoke () = interp_bench ~smoke:true ()
 
 (* ------------------------------------------------------------------ *)
 (* Trace engines: tree walker vs bytecode vs sampled (BENCH_trace.json)  *)

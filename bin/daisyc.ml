@@ -117,34 +117,9 @@ let engine_arg =
   Arg.(value & opt engine_conv Daisy.Machine.Cost.Bytecode
          & info [ "trace-engine" ] ~docv:"ENGINE"
              ~doc:"Cost-model trace engine: $(b,tree) (reference walker), \
-                   $(b,bytecode) (bit-identical flat-LIR engine, default) \
+                   $(b,bytecode) (bit-identical flat trace walk, default) \
                    or $(b,approx) (the bytecode walk, sampled; see \
                    docs/performance.md for the accuracy contract).")
-
-let interp_engine_conv : Daisy.Interp.Interp.engine Arg.conv =
-  let parse s =
-    match Daisy.Interp.Interp.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg ("unknown interpreter engine '" ^ s
-                           ^ "' (tree|bytecode)"))
-  in
-  Arg.conv (parse, fun ppf e ->
-      Fmt.string ppf (Daisy.Interp.Interp.string_of_engine e))
-
-let interp_engine_arg =
-  Arg.(value & opt interp_engine_conv Daisy.Interp.Interp.Bytecode
-         & info [ "interp-engine" ] ~docv:"ENGINE"
-             ~doc:"Semantic interpreter engine for equivalence checks: \
-                   $(b,tree) (reference oracle) or $(b,bytecode) (flat-LIR \
-                   VM, default). Both are bit-identical, so the choice does \
-                   not affect results (and, like $(b,--jobs), is excluded \
-                   from checkpoint fingerprints) — only speed.")
-
-let dump_bc_arg =
-  Arg.(value & flag & info [ "dump-bc" ]
-         ~doc:"After scheduling, disassemble the scheduled kernel's flat \
-               bytecode (opcode stream, operand pools, fused \
-               superinstructions, trace sections) to stdout.")
 
 let eval_budget_arg =
   Arg.(value & opt (some int) None & info [ "eval-budget" ] ~docv:"STEPS"
@@ -284,11 +259,10 @@ let normalize_cmd =
     Term.(const run $ file_arg $ defines_arg)
 
 let schedule_cmd =
-  let run file defs threads jobs sample_outer engine interp_engine dump_bc
-      eval_budget eval_deadline db_in checkpoint resume quarantine_dir =
+  let run file defs threads jobs sample_outer engine eval_budget
+      eval_deadline db_in checkpoint resume quarantine_dir =
     let p = load file in
     run_protected (fun () ->
-        Daisy.Interp.Interp.default_engine := interp_engine;
         let sizes = sizes_of defs p in
         let ctx =
           S.Common.make_ctx ~threads ~sample_outer ~engine
@@ -320,15 +294,6 @@ let schedule_cmd =
           (fun d -> Fmt.pr "  %a@." S.Daisy.pp_decision d)
           report.S.Daisy.decisions;
         Fmt.pr "@.%a@." Ir.pp_program report.S.Daisy.program;
-        (if dump_bc then
-           let smap =
-             List.fold_left
-               (fun m (k, v) -> Daisy.Support.Util.SMap.add k v m)
-               Daisy.Support.Util.SMap.empty sizes
-           in
-           Fmt.pr "@.%a@."
-             Daisy.Lir.Bytecode.pp
-             (Daisy.Lir.Bytecode.lower ~sizes:smap report.S.Daisy.program));
         Fmt.pr "@.simulated runtime: %.3f ms (original %.3f ms, %.2fx)@."
           (S.Common.runtime_ms ctx report.S.Daisy.program)
           (S.Common.runtime_ms ctx p)
@@ -338,8 +303,7 @@ let schedule_cmd =
   Cmd.v
     (Cmd.info "schedule" ~doc:"Normalize, auto-schedule and simulate a kernel")
     Term.(const run $ file_arg $ defines_arg $ threads_arg $ jobs_arg
-          $ sample_outer_arg $ engine_arg $ interp_engine_arg $ dump_bc_arg
-          $ eval_budget_arg $ eval_deadline_arg $ db_in_arg
+          $ sample_outer_arg $ engine_arg $ eval_budget_arg $ eval_deadline_arg $ db_in_arg
           $ checkpoint_arg $ resume_arg $ quarantine_arg)
 
 let seed_cmd =

@@ -3,21 +3,10 @@
     Executes programs over real [float array] storage; the test suite uses it
     to prove every normalization and scheduling transformation semantics-
     preserving (original and transformed programs must produce bitwise-close
-    outputs from identical initial states).
-
-    Two engines share the execution state ({!Istate}):
-
-    - {!run} — the tree-walking oracle: simple, obviously-correct recursive
-      evaluation over string-map environments;
-    - {!run_bytecode} — the flat-bytecode engine ({!Bc_exec}),
-      differential-tested to produce bitwise-identical states (see
-      [test/test_bytecode.ml] and [docs/performance.md]).
-
-    The equivalence checkers ({!equivalent}, {!equivalent_on}) run on the
-    bytecode engine and transparently fall back to the oracle if it fails
-    with a non-semantic exception (see {!compiled_fallbacks}); the oracle
-    remains the ground truth the bytecode engine is itself validated
-    against.
+    outputs from identical initial states). It is one engine — simple,
+    obviously-correct recursive evaluation over string-map environments —
+    and the equivalence checkers ({!equivalent}, {!equivalent_on}) run on
+    it.
 
     Scheduling attributes ([parallel], [vectorized], [unroll]) do not affect
     interpretation — they are promises to the machine model, not semantics. *)
@@ -27,37 +16,114 @@ module Ir = Daisy_loopir.Ir
 module Expr = Daisy_poly.Expr
 
 (* ------------------------------------------------------------------ *)
-(* Shared execution state (re-exported from Istate)                     *)
+(* Execution state                                                      *)
 
-type tensor = Istate.tensor = { dims : int array; data : float array }
+type tensor = { dims : int array; data : float array }
 
-let tensor_size = Istate.tensor_size
+let tensor_size t = Array.fold_left ( * ) 1 t.dims
 
-type state = Istate.state = {
+type state = {
   sizes : int Util.SMap.t;
   mutable scalars : float Util.SMap.t;
   arrays : (string, tensor) Hashtbl.t;
 }
 
-exception Runtime_error = Istate.Runtime_error
+exception Runtime_error of string
 
-let runtime_error = Istate.runtime_error
-let default_init = Istate.default_init
-let linear_index = Istate.linear_index
-let init = Istate.init
-let eval_intrinsic = Istate.eval_intrinsic
+let runtime_error fmt = Fmt.kstr (fun m -> raise (Runtime_error m)) fmt
+
+(** Deterministic PolyBench-style initializer: a bounded, array-dependent
+    value for every element, identical across program variants. *)
+let default_init name i =
+  let h = ref 1469598103934665603 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 1099511628211) name;
+  let v = (!h lxor (i * 2654435761)) land 0xFFFF in
+  (float_of_int v /. 65536.0) +. 0.01
+
+(** Row-major linear index with per-dimension bounds checks. *)
+let linear_index dims indices =
+  let rank = Array.length dims in
+  let rec go k acc =
+    if k = rank then acc
+    else begin
+      let i = indices.(k) in
+      if i < 0 || i >= dims.(k) then
+        runtime_error "index %d out of bounds [0, %d) in dimension %d" i dims.(k) k;
+      go (k + 1) ((acc * dims.(k)) + i)
+    end
+  in
+  go 0 0
+
+(** [init p ~sizes ~scalars ?init_fn ()] allocates every array of [p].
+    Parameter arrays are filled by [init_fn] (default {!default_init});
+    locals are zeroed. *)
+let init (p : Ir.program) ~sizes ?(scalars = []) ?(init_fn = default_init) () =
+  let sizes =
+    List.fold_left (fun m (k, v) -> Util.SMap.add k v m) Util.SMap.empty sizes
+  in
+  List.iter
+    (fun sp ->
+      if not (Util.SMap.mem sp sizes) then
+        runtime_error "missing size parameter %s" sp)
+    p.Ir.size_params;
+  let scalar_map =
+    List.fold_left (fun m (k, v) -> Util.SMap.add k v m) Util.SMap.empty scalars
+  in
+  (* default any unspecified scalar parameter deterministically *)
+  let scalar_map =
+    List.fold_left
+      (fun m sp ->
+        if Util.SMap.mem sp m then m else Util.SMap.add sp (default_init sp 0) m)
+      scalar_map p.Ir.scalar_params
+  in
+  let arrays = Hashtbl.create 16 in
+  List.iter
+    (fun (a : Ir.array_decl) ->
+      let dims =
+        Array.of_list (List.map (fun d -> Expr.eval sizes d) a.Ir.dims)
+      in
+      Array.iter
+        (fun d ->
+          if d <= 0 then
+            runtime_error "array %s has non-positive dimension %d" a.Ir.name d)
+        dims;
+      let n = Array.fold_left ( * ) 1 dims in
+      let data =
+        match a.Ir.storage with
+        | Ir.Sparam -> Array.init n (fun i -> init_fn a.Ir.name i)
+        | Ir.Slocal -> Array.make n 0.0
+      in
+      Hashtbl.replace arrays a.Ir.name { dims; data })
+    p.Ir.arrays;
+  { sizes; scalars = scalar_map; arrays }
+
+let eval_intrinsic f args =
+  match (f, args) with
+  | "sqrt", [ x ] -> sqrt x
+  | "exp", [ x ] -> exp x
+  | "log", [ x ] -> log x
+  | "fabs", [ x ] -> Float.abs x
+  | "floor", [ x ] -> floor x
+  | "ceil", [ x ] -> ceil x
+  | "sin", [ x ] -> sin x
+  | "cos", [ x ] -> cos x
+  | "tanh", [ x ] -> tanh x
+  | "pow", [ x; y ] -> Float.pow x y
+  | "min", [ x; y ] -> Float.min x y
+  | "max", [ x; y ] -> Float.max x y
+  | _ -> runtime_error "unknown intrinsic %s/%d" f (List.length args)
 
 (* ------------------------------------------------------------------ *)
-(* Tree-walking evaluation (the oracle)                                 *)
+(* Tree-walking evaluation                                              *)
 
 type frame = {
   state : state;
-  mutable iters : int Util.SMap.t;
+  mutable env : int Util.SMap.t;
+      (** the sizes, with each enclosing loop's iterator bound over them *)
   budget : Budget.t;  (** ticked once per executed loop iteration *)
 }
 
-let int_env fr =
-  Util.SMap.union (fun _ i _ -> Some i) fr.iters fr.state.sizes
+let int_env fr = fr.env
 
 let read_tensor state array indices =
   match Hashtbl.find_opt state.arrays array with
@@ -158,12 +224,12 @@ let rec exec_nodes fr (nodes : Ir.node list) =
       | Ir.Nloop l ->
           let env = int_env fr in
           let lo = Expr.eval env l.Ir.lo and hi = Expr.eval env l.Ir.hi in
-          let saved = fr.iters in
+          let saved = fr.env in
           if l.Ir.step > 0 then begin
             let i = ref lo in
             while !i <= hi do
               Budget.tick fr.budget;
-              fr.iters <- Util.SMap.add l.Ir.iter !i saved;
+              fr.env <- Util.SMap.add l.Ir.iter !i saved;
               exec_nodes fr l.Ir.body;
               i := !i + l.Ir.step
             done
@@ -172,89 +238,29 @@ let rec exec_nodes fr (nodes : Ir.node list) =
             let i = ref lo in
             while !i >= hi do
               Budget.tick fr.budget;
-              fr.iters <- Util.SMap.add l.Ir.iter !i saved;
+              fr.env <- Util.SMap.add l.Ir.iter !i saved;
               exec_nodes fr l.Ir.body;
               i := !i + l.Ir.step
             done
           end;
-          fr.iters <- saved)
+          fr.env <- saved)
     nodes
 
-(** [run p state] executes the body of [p] with the tree-walking oracle,
-    mutating [state]. *)
+(** [run p state] executes the body of [p], mutating [state]. *)
 let run ?(budget = Budget.unlimited ()) (p : Ir.program) (state : state) =
-  exec_nodes { state; iters = Util.SMap.empty; budget } p.Ir.body
+  exec_nodes { state; env = state.sizes; budget } p.Ir.body
 
-(** [run_fresh p ~sizes ...] allocates a fresh state and runs [p] in it
-    (tree-walking oracle). *)
+(** [run_fresh p ~sizes ...] allocates a fresh state and runs [p] in it. *)
 let run_fresh ?budget (p : Ir.program) ~sizes ?(scalars = []) ?init_fn () =
   let state = init p ~sizes ~scalars ?init_fn () in
   run ?budget p state;
   state
 
-(* ------------------------------------------------------------------ *)
-(* Bytecode fast path                                                   *)
+(* perfbench pins the interpreter through this reference; with one
+   engine there is nothing to choose *)
+type engine = Tree
 
-(** [run_bytecode p state] executes [p] with the flat-bytecode engine
-    ({!Bc_exec} over {!Daisy_lir.Bytecode}) — bitwise identical to {!run}. *)
-let run_bytecode ?budget (p : Ir.program) (state : state) =
-  Bc_exec.run ?budget p state
-
-(** [run_bytecode_fresh p ~sizes ...] — {!run_fresh} on the bytecode
-    engine. *)
-let run_bytecode_fresh ?budget (p : Ir.program) ~sizes ?(scalars = [])
-    ?init_fn () =
-  Bc_exec.run_fresh ?budget p ~sizes ~scalars ?init_fn ()
-
-(* ------------------------------------------------------------------ *)
-(* Engine selection                                                     *)
-
-(** The two semantic engines, the obviously correct oracle first. Both
-    are bit-identical on the differential suite; {!engine} picks which one
-    the {!equivalent} family runs. *)
-type engine = Tree | Bytecode
-
-let engine_of_string = function
-  | "tree" -> Some Tree
-  | "bytecode" -> Some Bytecode
-  | _ -> None
-
-let string_of_engine = function Tree -> "tree" | Bytecode -> "bytecode"
-
-let default_engine = ref Bytecode
-
-(* ------------------------------------------------------------------ *)
-(* Guarded runs: degrade bytecode -> tree on engine failure            *)
-
-let fallbacks = Atomic.make 0
-
-let compiled_fallbacks () = Atomic.get fallbacks
-let reset_compiled_fallbacks () = Atomic.set fallbacks 0
-
-let warn_fallback exn =
-  let n = Atomic.fetch_and_add fallbacks 1 + 1 in
-  (* throttled (Diag.warn_throttled): a hot loop of bytecode failures
-     cannot flood stderr *)
-  Diag.warn_throttled ~label:"interp_fallback:bytecode"
-    "bytecode engine failed (%s); falling back to tree engine (fallback #%d)"
-    (Printexc.to_string exn) n
-
-(* [Runtime_error] and [Invalid_argument] are semantic — all engines
-   raise them identically for the same program — so they propagate; any
-   other exception is an engine defect and triggers a re-run on the tree
-   oracle. [Budget.Exhausted] also propagates: the oracle would exhaust
-   too. *)
-let checked_run_fresh ?budget (p : Ir.program) ~sizes ~scalars () =
-  match !default_engine with
-  | Tree -> run_fresh ?budget p ~sizes ~scalars ()
-  | Bytecode -> (
-      try run_bytecode_fresh ?budget p ~sizes ~scalars ()
-      with
-      | (Runtime_error _ | Invalid_argument _ | Budget.Exhausted) as e ->
-          raise e
-      | e ->
-          warn_fallback e;
-          run_fresh ?budget p ~sizes ~scalars ())
+let default_engine = ref Tree
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                           *)
@@ -290,12 +296,11 @@ let max_rel_diff (p : Ir.program) (s1 : state) (s2 : state) =
 
 (** [equivalent_on ~arrays p1 p2 ~sizes] — run both programs from identical
     initial states and compare only the named arrays (for cross-language
-    checks where the programs declare different temporaries). Runs on
-    {!default_engine}. *)
+    checks where the programs declare different temporaries). *)
 let equivalent_on ?(tol = 1e-9) ~(arrays : string list) (p1 : Ir.program)
     (p2 : Ir.program) ~sizes ?(scalars = []) () =
-  let s1 = checked_run_fresh p1 ~sizes ~scalars () in
-  let s2 = checked_run_fresh p2 ~sizes ~scalars () in
+  let s1 = run_fresh p1 ~sizes ~scalars () in
+  let s2 = run_fresh p2 ~sizes ~scalars () in
   List.for_all
     (fun name ->
       match (Hashtbl.find_opt s1.arrays name, Hashtbl.find_opt s2.arrays name) with
@@ -316,10 +321,9 @@ let equivalent_on ?(tol = 1e-9) ~(arrays : string list) (p1 : Ir.program)
     arrays
 
 (** [equivalent p1 p2 ~sizes] runs both programs from identical initial
-    states and checks parameter arrays agree within [tol]. Runs on
-    {!default_engine}. *)
+    states and checks parameter arrays agree within [tol]. *)
 let equivalent ?(tol = 1e-9) (p1 : Ir.program) (p2 : Ir.program) ~sizes
     ?(scalars = []) () =
-  let s1 = checked_run_fresh p1 ~sizes ~scalars () in
-  let s2 = checked_run_fresh p2 ~sizes ~scalars () in
+  let s1 = run_fresh p1 ~sizes ~scalars () in
+  let s2 = run_fresh p2 ~sizes ~scalars () in
   max_rel_diff p1 s1 s2 <= tol

@@ -83,7 +83,7 @@ let nest_cycles (config : Config.t) ~(threads : int) (c : Trace.counters) :
   { counters = c; threads_used = p; cycles = base +. t_atomic +. overhead }
 
 (** Which trace engine produces the counters. [Tree] is the original
-    walker (the oracle); [Bytecode] is the flat-LIR engine, bit-identical
+    walker (the oracle); [Bytecode] walks the flat trace sections, bit-identical
     to the walker and the default; [Approx] is the bytecode walk with
     line-granular stepping and adaptive loop sampling (bounded relative
     error, see docs/performance.md). *)

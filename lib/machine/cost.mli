@@ -26,7 +26,7 @@ val nest_cycles : Config.t -> threads:int -> Trace.counters -> nest_cost
 
 type engine = Tree | Bytecode | Approx of Trace_bc.approx
 (** Which trace engine produces the counters. [Tree] is the original walker
-    (the oracle); [Bytecode] is the flat-LIR engine ({!Trace_bc}),
+    (the oracle); [Bytecode] walks the flat trace sections ({!Trace_bc}),
     bit-identical to the walker and the default; [Approx] runs the same
     bytecode walk with line-granular stepping and adaptive loop sampling,
     with bounded relative error (docs/performance.md). *)

@@ -252,6 +252,17 @@ let vexpr_flops (e : Ir.vexpr) : float =
   in
   go e
 
+(** Flops of one execution of a computation: its right-hand side plus its
+    guard predicate, before the walkers clamp it to at least one. *)
+let comp_flops (c : Ir.comp) : float =
+  let rec gp = function
+    | Ir.Pcmp (_, a, b) -> 1.0 +. vexpr_flops a +. vexpr_flops b
+    | Ir.Pand (a, b) | Ir.Por (a, b) -> 1.0 +. gp a +. gp b
+    | Ir.Pnot a -> 1.0 +. gp a
+  in
+  vexpr_flops c.Ir.rhs
+  +. (match c.Ir.guard with Some g -> gp g | None -> 0.0)
+
 (** Stride (in elements) of an access w.r.t. an iterator, from affine
     subscripts; [None] if non-affine. *)
 let simd_stride (dims : int array) (indices : Expr.t list) (iter : string) :
@@ -288,9 +299,8 @@ let n_registers = 16
     exceed the architectural registers spills the excess to the stack —
     extra L1 loads and stores every iteration. This is what makes the big
     inlined-and-unrolled CLOUDSC bodies expensive (paper Table 1) and what
-    maximal fission repairs. Shared by the tree walker and the bytecode
-    engine ([Trace_bc], through its lowering hooks) so their spill counts
-    cannot drift. *)
+    maximal fission repairs. Shared by the tree walker and the trace
+    lowering ([Bytecode]) so their spill counts cannot drift. *)
 let spill_estimate (l : Ir.loop) : int =
   let comps = Ir.comps_in l.Ir.body in
   let mem =
@@ -382,18 +392,7 @@ let compile_comp cctx (wctx : walk_ctx) ~(simd_iter : string option)
     List.map (compile_access cctx wctx.layout ~write:false ~simd_iter) reads
     @ List.map (compile_access cctx wctx.layout ~write:true ~simd_iter) writes
   in
-  let flops =
-    vexpr_flops c.Ir.rhs
-    +. (match c.Ir.guard with
-       | Some g ->
-           let rec gp = function
-             | Ir.Pcmp (_, a, b) -> 1.0 +. vexpr_flops a +. vexpr_flops b
-             | Ir.Pand (a, b) | Ir.Por (a, b) -> 1.0 +. gp a +. gp b
-             | Ir.Pnot a -> 1.0 +. gp a
-           in
-           gp g
-       | None -> 0.0)
-  in
+  let flops = comp_flops c in
   let vectorizable =
     simd_iter <> None
     && List.for_all (fun a -> not a.strided_in_simd) accesses

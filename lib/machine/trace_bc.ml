@@ -1,10 +1,11 @@
-(** Bytecode trace engine: the cost-model walk over the flat LIR.
+(** Bytecode trace engine: the cost-model walk over the flat trace
+    sections.
 
-    [Daisy_lir.Bytecode.lower ~hooks] produces one
-    trace section per top-level node — a flat [TLOOP]/[TLOOPBK]/[TCOMP]/
-    [TCALL] stream whose operands index side tables of pre-resolved loop
-    bounds, byte-address generators and computation descriptors — and this
-    module walks those streams against the shared [Cache] simulator.
+    [Bytecode.lower] produces one trace section per top-level node — a
+    flat [TLOOP]/[TLOOPBK]/[TCOMP]/[TCALL] stream whose operands index
+    side tables of pre-resolved loop bounds, byte-address generators and
+    computation descriptors — and this module walks those streams against
+    the shared [Cache] simulator.
 
     {b Exact contract}: bit-identical counters to the tree walker
     [Trace.run] in exact mode: the same float additions in the
@@ -51,41 +52,7 @@
 
 open Daisy_support
 module Ir = Daisy_loopir.Ir
-module B = Daisy_lir.Bytecode
-
-(* ------------------------------------------------------------------ *)
-(* Lowering hooks                                                       *)
-
-(** Flops of a computation: rhs plus guard predicate, un-clamped —
-    replicates [Trace.compile_comp]'s accounting. *)
-let comp_flops (c : Ir.comp) : float =
-  let rec gp = function
-    | Ir.Pcmp (_, a, b) -> 1.0 +. Trace.vexpr_flops a +. Trace.vexpr_flops b
-    | Ir.Pand (a, b) | Ir.Por (a, b) -> 1.0 +. gp a +. gp b
-    | Ir.Pnot a -> 1.0 +. gp a
-  in
-  Trace.vexpr_flops c.Ir.rhs
-  +. (match c.Ir.guard with Some g -> gp g | None -> 0.0)
-
-(** Machine-model hooks over a concrete layout, so [Bytecode.lower] can
-    fold byte addresses and precompute spill/flop/stride facts without a
-    dependency on this library. *)
-let hooks_of_layout (layout : Trace.layout) : B.trace_hooks =
-  {
-    B.th_base_of =
-      (fun name ->
-        match layout.Trace.base_of name with
-        | b -> Some b
-        | exception Trace.Unsupported_trace _ -> None);
-    th_dims_of = layout.Trace.dims_of;
-    th_spills = Trace.spill_estimate;
-    th_comp_flops = comp_flops;
-    th_simd_stride = Trace.simd_stride;
-  }
-
-let lower (p : Ir.program) ~(param_env : int Util.SMap.t) : B.t =
-  let layout = Trace.layout_of p ~sizes:param_env in
-  B.lower ~hooks:(hooks_of_layout layout) ~sizes:param_env p
+module B = Bytecode
 
 (* ------------------------------------------------------------------ *)
 (* Runtime                                                              *)
@@ -309,8 +276,7 @@ let trace_tnode ~batch ?approx (wctx : Trace.walk_ctx) (bc : B.t)
   let iters = Array.make (max 1 tn.B.t_nslots) 0 in
   let xstack = Array.make (max 1 bc.B.max_xstack) 0 in
   let bind ix =
-    B.binder ~pool:tn.B.t_pool ~xpool:tn.B.t_xpool ~names:bc.B.names
-      ~regs:iters ~xstack ix
+    B.binder ~pool:tn.B.t_pool ~xpool:tn.B.t_xpool ~regs:iters ~xstack ix
   in
   let gather_mult = float_of_int config.Config.vector_width -. 1.0 in
   let vw = float_of_int config.Config.vector_width in
@@ -1114,7 +1080,7 @@ let trace_tnode ~batch ?approx (wctx : Trace.walk_ctx) (bc : B.t)
         v :: dims (k + 1)
       in
       let dims = dims 0 in
-      let kernel = bc.B.names.(z.B.z_kernel) in
+      let kernel = z.B.z_kernel in
       counters.Trace.libcall_flops <-
         counters.Trace.libcall_flops
         +. (try Daisy_blas.Kernels.flops kernel dims with _ -> 0.0);
@@ -1150,7 +1116,7 @@ let run (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
     List.fold_left (fun m (k, v) -> Util.SMap.add k v m) Util.SMap.empty sizes
   in
   let layout = Trace.layout_of p ~sizes:param_env in
-  let bc = B.lower ~hooks:(hooks_of_layout layout) ~sizes:param_env p in
+  let bc = B.lower layout ~sizes:param_env p in
   let cache = Cache.create config in
   let wctx =
     { Trace.config; cache; layout; param_env; sample_outer; budget }

@@ -1,5 +1,6 @@
 (** Error-path coverage for the reference interpreter: out-of-bounds
-    subscripts, missing size parameters, and unbound scalars must raise
+    subscripts, missing size parameters, unbound scalars, unknown
+    intrinsics (or a wrong arity) and unknown arrays must raise
     {!Daisy_interp.Interp.Runtime_error} with a message that names the
     offending entity. *)
 
@@ -59,27 +60,45 @@ let test_missing_size_parameter () =
   check_runtime_error "missing size" [ "missing size parameter"; "m" ]
     (fun () -> Interp.init p ~sizes:[ ("n", 4) ] ())
 
+(* one array [A[n]] and one local scalar, built directly in the IR:
+   the frontend would reject the bodies below *)
+let base =
+  {
+    Ir.pname = "errors";
+    size_params = [ "n" ];
+    scalar_params = [];
+    arrays =
+      [ { Ir.name = "A"; elem = Ir.Fdouble; dims = [ Expr.var "n" ];
+          storage = Ir.Sparam } ];
+    local_scalars = [ "alpha" ];
+    body = [];
+  }
+
+let store ?(array = "A") rhs =
+  { base with
+    Ir.body =
+      [ Ir.Ncomp
+          (Ir.mk_comp
+             (Ir.Darray { Ir.array; indices = [ Expr.const 0 ] })
+             rhs) ] }
+
 let test_unbound_scalar () =
-  (* a scalar that is neither a declared parameter nor assigned before use:
-     built directly in the IR, since the frontend would reject it *)
-  let p =
-    {
-      Ir.pname = "unbound";
-      size_params = [ "n" ];
-      scalar_params = [];
-      arrays =
-        [ { Ir.name = "A"; elem = Ir.Fdouble; dims = [ Expr.var "n" ];
-            storage = Ir.Sparam } ];
-      local_scalars = [ "alpha" ];
-      body =
-        [ Ir.Ncomp
-            (Ir.mk_comp
-               (Ir.Darray { Ir.array = "A"; indices = [ Expr.const 0 ] })
-               (Ir.Vscalar "alpha")) ];
-    }
-  in
+  (* a scalar that is neither a declared parameter nor assigned before use *)
   check_runtime_error "unbound scalar" [ "unbound scalar"; "alpha" ]
-    (fun () -> Interp.run_fresh p ~sizes:[ ("n", 4) ] ())
+    (fun () -> Interp.run_fresh (store (Ir.Vscalar "alpha")) ~sizes:[ ("n", 4) ] ())
+
+let test_unknown_names () =
+  (* unknown intrinsics and arrays are invalid IR; the interpreter never
+     validates, so it must raise on them at run time *)
+  let run p () = Interp.run_fresh p ~sizes:[ ("n", 4) ] () in
+  check_runtime_error "unknown intrinsic" [ "unknown intrinsic"; "bogus/2" ]
+    (run (store (Ir.Vcall ("bogus", [ Ir.Vfloat 1.0; Ir.Vfloat 2.0 ]))));
+  check_runtime_error "wrong-arity intrinsic" [ "unknown intrinsic"; "sqrt/2" ]
+    (run (store (Ir.Vcall ("sqrt", [ Ir.Vfloat 1.0; Ir.Vfloat 2.0 ]))));
+  check_runtime_error "unknown array read" [ "unknown array"; "Ghost" ]
+    (run (store (Ir.Vread { Ir.array = "Ghost"; indices = [ Expr.const 0 ] })));
+  check_runtime_error "unknown array write" [ "unknown array"; "Ghost" ]
+    (run (store ~array:"Ghost" (Ir.Vfloat 1.0)))
 
 let test_declared_scalar_param_defaults () =
   (* a declared scalar parameter is defaulted deterministically, not an
@@ -101,5 +120,6 @@ let suite =
     ("out-of-bounds index", `Quick, test_out_of_bounds);
     ("missing size parameter", `Quick, test_missing_size_parameter);
     ("unbound scalar", `Quick, test_unbound_scalar);
+    ("unknown intrinsic or array", `Quick, test_unknown_names);
     ("declared scalar defaults", `Quick, test_declared_scalar_param_defaults);
   ]

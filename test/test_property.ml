@@ -257,9 +257,9 @@ let prop_embedding_rename_invariant =
       let e2 =
         List.map Daisy_embedding.Embedding.of_node (Ir.canon_nodes p.Ir.body)
       in
-      List.for_all2
-        (fun a b -> Daisy_embedding.Embedding.distance a b < 1e-9)
-        e1 e2)
+      (* bit-equal coordinates, not merely close ones *)
+      let bits e = Array.map Int64.bits_of_float e in
+      List.for_all2 (fun a b -> bits a = bits b) e1 e2)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -66,18 +66,13 @@ let test_budget_interp_engines () =
         }|}
   in
   let sizes = [ ("n", 10) ] in
-  (* 10 outer + 100 inner iterations; a budget of 5 must trip in both
-     engines, a large one must not *)
+  (* 10 outer + 100 inner iterations; a budget of 5 must trip, a large
+     one must not and must leave the unbudgeted result *)
   Alcotest.check_raises "tree exhausts" Budget.Exhausted (fun () ->
       ignore (Interp.run_fresh ~budget:(Budget.make ~steps:5) p ~sizes ()));
-  Alcotest.check_raises "bytecode exhausts" Budget.Exhausted (fun () ->
-      ignore
-        (Interp.run_bytecode_fresh ~budget:(Budget.make ~steps:5) p ~sizes ()));
   let s1 = Interp.run_fresh ~budget:(Budget.make ~steps:1_000) p ~sizes () in
-  let s2 =
-    Interp.run_bytecode_fresh ~budget:(Budget.make ~steps:1_000) p ~sizes ()
-  in
-  Alcotest.(check (float 0.0)) "same bytecode result under budget" 0.0
+  let s2 = Interp.run_fresh p ~sizes () in
+  Alcotest.(check (float 0.0)) "same result under budget" 0.0
     (Interp.max_rel_diff p s1 s2)
 
 (* The acceptance regression: an adversarially large iteration space
@@ -175,34 +170,6 @@ let test_bytecode_trace_fallback_chain () =
           ("bc_compile -> tree", [ "bc_compile" ]);
           ("trace_fuse -> tree", [ "trace_fuse" ]);
           ("bc_run + trace_fuse -> tree", [ "bc_run"; "trace_fuse" ]) ])
-
-let test_interp_fallback_preserves_equivalence () =
-  with_faults (fun () ->
-      let p = lower gemm_src in
-      (* default engine is bytecode: a bc_run crash degrades to the tree *)
-      Interp.reset_compiled_fallbacks ();
-      Fault.arm_nth "bc_run" 1;
-      Alcotest.(check bool) "equivalent despite engine crash" true
-        (Interp.equivalent p p ~sizes:[ ("n", 6) ] ());
-      Alcotest.(check bool) "fallback counted" true
-        (Interp.compiled_fallbacks () >= 1);
-      (* bc_compile crashes degrade the same way *)
-      Fault.clear ();
-      Interp.reset_compiled_fallbacks ();
-      Fault.arm_nth "bc_compile" 1;
-      Alcotest.(check bool) "equivalent despite lowering crash" true
-        (Interp.equivalent p p ~sizes:[ ("n", 6) ] ());
-      Alcotest.(check bool) "lowering fallback counted" true
-        (Interp.compiled_fallbacks () >= 1);
-      (* bytecode armed on every run: both sides of the check run on the
-         tree oracle, one fallback each *)
-      Fault.clear ();
-      Interp.reset_compiled_fallbacks ();
-      Fault.arm_always "bc_run";
-      Alcotest.(check bool) "equivalent on the tree oracle" true
-        (Interp.equivalent p p ~sizes:[ ("n", 6) ] ());
-      Alcotest.(check int) "one fallback per run" 2
-        (Interp.compiled_fallbacks ()))
 
 let test_budget_exhaustion_is_not_masked () =
   (* evaluate_guarded must let Exhausted escape, not silently retry on
@@ -688,8 +655,6 @@ let suite =
       test_trace_engine_fallback_same_result;
     Alcotest.test_case "fallback: bytecode trace chain" `Quick
       test_bytecode_trace_fallback_chain;
-    Alcotest.test_case "fallback: interp engine, equivalence" `Quick
-      test_interp_fallback_preserves_equivalence;
     Alcotest.test_case "fallback: budget exhaustion not masked" `Quick
       test_budget_exhaustion_is_not_masked;
     Alcotest.test_case "pool: lowest failure wins at any job count" `Quick
