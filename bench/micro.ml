@@ -124,17 +124,17 @@ type e2e_row = { engine_name : string; seed_s : float }
 
 (** Perf-trajectory record for the cost-model fast path: per-kernel
     wall-clock of the engines plus the exactness/accuracy checks, and
-    end-to-end scheduling-database seeding per engine. Schema 5 drops
-    schema 4's simulation-memo columns ([memo_hit_s] and the seeding
-    rows' [memo_hits]/[memo_misses]); schema 4 dropped schema 3's
-    closure-engine columns. Every other column keeps its meaning
-    ([bytecode_s] is still the unfused walk), so trajectories stay
-    comparable across schemas. Accumulated across PRs by CI (see
-    docs/performance.md). *)
+    end-to-end scheduling-database seeding per engine. Schema 6 drops
+    the [tree] seeding row ([Cost] no longer runs the tree walker;
+    [tree_s] still times it per walk); schema 5 dropped schema 4's
+    simulation-memo columns, and schema 4 schema 3's closure-engine
+    columns. Every other column keeps its meaning ([bytecode_s] is still
+    the unfused walk), so trajectories stay comparable across schemas.
+    Accumulated across PRs by CI (see docs/performance.md). *)
 let write_trace_json ~path (rows : trace_row list) (e2e : e2e_row list) =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"trace\",\n  \"schema\": 5,\n  \"results\": [\n";
+  out "{\n  \"bench\": \"trace\",\n  \"schema\": 6,\n  \"results\": [\n";
   List.iteri
     (fun i r ->
       let sizes =
@@ -179,10 +179,10 @@ let trace_cycles engine p ~sizes =
     .Cost.total_cycles
 
 (** End-to-end: seed the scheduling database (Evolve.search inside) with
-    each engine. The work is identical modulo the engine, so the ratio is
-    the real-world speedup a scheduler run sees. Only jacobi-2d searches:
-    the idiom detector replaces gemm and atax by library calls before any
-    cost-model walk, so the smoke seeds jacobi-2d alone. *)
+    each [Cost] engine. The work is identical modulo the engine, so the
+    ratio is the real-world speedup a scheduler run sees. Only jacobi-2d
+    searches: the idiom detector replaces gemm and atax by library calls
+    before any cost-model walk, so the smoke seeds jacobi-2d alone. *)
 let trace_seed_wallclock ~smoke (engine : Cost.engine) =
   let module S = Daisy_scheduler in
   let kernels = if smoke then [ Pb.jacobi_2d ] else [ Pb.gemm; Pb.atax; Pb.jacobi_2d ] in
@@ -199,11 +199,11 @@ let trace_seed_wallclock ~smoke (engine : Cost.engine) =
     kernels;
   Unix.gettimeofday () -. t0
 
-(** [trace_bench ~smoke ()] — wall-clock of the tree trace walker vs the
-    flat-bytecode engine, unfused and fused (both bit-identical to the
-    tree), and the sampled engine (approximate),
-    written to BENCH_trace.json. [~smoke:true] restricts to two kernels
-    with one repetition (the CI smoke configuration). *)
+(** [trace_bench ~smoke ()] — wall-clock of the tree trace walker (the
+    oracle, [Trace.run]) vs the flat-bytecode engine, unfused and fused
+    (both bit-identical to the tree), and the sampled engine
+    (approximate), written to BENCH_trace.json. [~smoke:true] restricts
+    to two kernels with one repetition (the CI smoke configuration). *)
 let trace_bench ?(smoke = false) () =
   let reps = if smoke then 1 else 3 in
   let rows =
@@ -298,8 +298,7 @@ let trace_bench ?(smoke = false) () =
     List.map
       (fun (engine_name, engine) ->
         { engine_name; seed_s = trace_seed_wallclock ~smoke engine })
-      [ ("tree", Cost.Tree); ("bytecode", Cost.Bytecode);
-        ("approx", Cost.Approx Tb.default_approx) ]
+      [ ("bytecode", Cost.Bytecode); ("approx", Cost.Approx Tb.default_approx) ]
   in
   Format.printf "@.End-to-end database seeding (Evolve.search inside):@.";
   List.iter

@@ -17,10 +17,9 @@
     addition order included; the differential suites in
     [test/test_bytecode.ml] and [test/test_trace.ml] enforce it.
 
-    Lowering passes through the ["bc_compile"] {!Daisy_support.Fault}
-    injection point; under [DAISY_VALIDATE] ({!Daisy_loopir.Ir.validation_enabled})
-    the input program is validated before lowering and the produced
-    artifact is checked by {!verify} after. *)
+    Under [DAISY_VALIDATE] ({!Daisy_loopir.Ir.validation_enabled}) the
+    input program is validated before lowering and the produced artifact
+    is checked by {!verify} after. *)
 
 open Daisy_support
 module L = Daisy_loopir.Ir
@@ -901,7 +900,6 @@ let verify (a : t) : string list =
     from [sizes]. *)
 let lower (layout : Trace.layout) ~(sizes : int Util.SMap.t) (p : L.program)
     : t =
-  Fault.inject "bc_compile";
   (if !L.validation_enabled then
      match L.validate p with
      | [] -> ()

@@ -9,7 +9,6 @@
 
 module Ir = Daisy_loopir.Ir
 module Budget = Daisy_support.Budget
-module Diag = Daisy_support.Diag
 
 type nest_cost = {
   counters : Trace.counters;
@@ -82,38 +81,35 @@ let nest_cycles (config : Config.t) ~(threads : int) (c : Trace.counters) :
   in
   { counters = c; threads_used = p; cycles = base +. t_atomic +. overhead }
 
-(** Which trace engine produces the counters. [Tree] is the original
-    walker (the oracle); [Bytecode] walks the flat trace sections, bit-identical
-    to the walker and the default; [Approx] is the bytecode walk with
+(** Which trace engine produces the counters. Both walk the flat trace
+    sections ({!Trace_bc}): [Bytecode] exactly, bit-identical to the
+    reference walker [Trace.run], and the default; [Approx] with
     line-granular stepping and adaptive loop sampling (bounded relative
     error, see docs/performance.md). *)
-type engine = Tree | Bytecode | Approx of Trace_bc.approx
+type engine = Bytecode | Approx of Trace_bc.approx
 
 let engine_of_string = function
-  | "tree" -> Tree
   | "bytecode" -> Bytecode
   | "approx" -> Approx Trace_bc.default_approx
-  | s ->
-      invalid_arg ("unknown trace engine '" ^ s ^ "' (tree|bytecode|approx)")
+  | s -> invalid_arg ("unknown trace engine '" ^ s ^ "' (bytecode|approx)")
 
 let string_of_engine = function
-  | Tree -> "tree"
   | Bytecode -> "bytecode"
   | Approx _ -> "approx"
 
-(** [evaluate config p ~sizes ~threads ?sample_outer ?engine ?budget ()] —
-    trace and cost a program. [budget] bounds the walked loop iterations;
-    {!Daisy_support.Budget.Exhausted} escapes when it runs out. *)
+(** [evaluate config p ~sizes ?threads ?sample_outer ?engine ?steps ()] —
+    trace and cost a program with one walk under a fresh budget of
+    [steps] walked loop iterations (unlimited when [None]). Every failure
+    of the walk, {!Daisy_support.Budget.Exhausted} included, escapes to
+    the caller as it is. *)
 let evaluate (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
-    ?(threads = 1) ?(sample_outer = 0) ?(engine = Bytecode) ?budget () :
+    ?(threads = 1) ?(sample_outer = 0) ?(engine = Bytecode) ?steps () :
     report =
-  let counters =
-    match engine with
-    | Tree -> Trace.run config p ~sizes ~sample_outer ?budget ()
-    | Bytecode -> Trace_bc.run config p ~sizes ~sample_outer ?budget ()
-    | Approx a ->
-        Trace_bc.run config p ~sizes ~sample_outer ~approx:a ?budget ()
+  let budget =
+    match steps with Some n -> Budget.make ~steps:n | None -> Budget.unlimited ()
   in
+  let approx = match engine with Bytecode -> None | Approx a -> Some a in
+  let counters = Trace_bc.run config p ~sizes ~sample_outer ~budget ?approx () in
   let nests = List.map (nest_cycles config ~threads) counters in
   let total_cycles =
     List.fold_left (fun acc n -> acc +. n.cycles) 0.0 nests
@@ -140,49 +136,11 @@ let evaluate (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
       List.fold_left (fun a n -> a +. n.counters.Trace.l2.Cache.misses) 0.0 nests;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Guarded evaluation: budgeted, with tree-oracle fallback              *)
-
-let fallbacks = Atomic.make 0
-
-let engine_fallbacks () = Atomic.get fallbacks
-let reset_engine_fallbacks () = Atomic.set fallbacks 0
-
-let warn_fallback engine exn =
-  let n = Atomic.fetch_and_add fallbacks 1 + 1 in
-  (* per-label throttling (Diag.warn_throttled): a search over thousands
-     of candidates cannot flood stderr, and each failing engine keeps its
-     own counter *)
-  Diag.warn_throttled
-    ~label:("trace_fallback:" ^ string_of_engine engine)
-    "%s trace engine failed (%s); falling back to tree engine (fallback #%d)"
-    (string_of_engine engine) (Printexc.to_string exn) n
-
-(** [evaluate_guarded config p ~sizes ... ?steps ()] — the resilient entry
-    point the scheduler uses. Each attempt gets a fresh budget of [steps]
-    walked loop iterations (unlimited when [steps] is [None]);
-    [Budget.Exhausted] propagates so callers can map it to [infinity]
-    fitness. Any other failure of a non-tree engine logs a throttled
-    warning, bumps {!engine_fallbacks}, and transparently re-runs on the
-    tree walker with a fresh budget. *)
-let evaluate_guarded (config : Config.t) (p : Ir.program)
-    ~(sizes : (string * int) list) ?threads ?sample_outer
-    ?(engine = Bytecode) ?steps () : report =
-  let budget () =
-    match steps with Some n -> Budget.make ~steps:n | None -> Budget.unlimited ()
-  in
-  let attempt eng =
-    evaluate config p ~sizes ?threads ?sample_outer ~engine:eng
-      ~budget:(budget ()) ()
-  in
-  match engine with
-  | Tree -> attempt Tree
-  | Bytecode | Approx _ -> (
-      try attempt engine with
-      | Budget.Exhausted as e -> raise e
-      | e ->
-          warn_fallback engine e;
-          attempt Tree)
+(* Kept for [perfbench/bench.ml], its only caller, which reports a
+   fallback count per run; there is no engine fallback, so the count is
+   always 0. *)
+let engine_fallbacks () = 0
+let reset_engine_fallbacks () = ()
 
 (** Simulated milliseconds — the unit every experiment reports. *)
 let milliseconds (r : report) = r.seconds *. 1e3

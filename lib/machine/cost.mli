@@ -24,16 +24,15 @@ type report = {
 
 val nest_cycles : Config.t -> threads:int -> Trace.counters -> nest_cost
 
-type engine = Tree | Bytecode | Approx of Trace_bc.approx
-(** Which trace engine produces the counters. [Tree] is the original walker
-    (the oracle); [Bytecode] walks the flat trace sections ({!Trace_bc}),
-    bit-identical to the walker and the default; [Approx] runs the same
-    bytecode walk with line-granular stepping and adaptive loop sampling,
-    with bounded relative error (docs/performance.md). *)
+type engine = Bytecode | Approx of Trace_bc.approx
+(** Which trace engine produces the counters. Both walk the flat trace
+    sections ({!Trace_bc}): [Bytecode] exactly, bit-identical to the
+    reference walker {!Trace.run}, and the default; [Approx] with
+    line-granular stepping and adaptive loop sampling, with bounded
+    relative error (docs/performance.md). *)
 
 val engine_of_string : string -> engine
-(** Parse "tree" | "bytecode" | "approx"; raises [Invalid_argument]
-    otherwise. *)
+(** Parse "bytecode" | "approx"; raises [Invalid_argument] otherwise. *)
 
 val string_of_engine : engine -> string
 
@@ -44,35 +43,27 @@ val evaluate :
   ?threads:int ->
   ?sample_outer:int ->
   ?engine:engine ->
-  ?budget:Daisy_support.Budget.t ->
-  unit ->
-  report
-(** Trace and cost a program ([sample_outer] > 0 samples the outermost loop
-    of each top-level nest and extrapolates; [engine] defaults to
-    [Bytecode]). [budget] bounds the walked loop iterations;
-    [Daisy_support.Budget.Exhausted] escapes when it runs out. *)
-
-val evaluate_guarded :
-  Config.t ->
-  Daisy_loopir.Ir.program ->
-  sizes:(string * int) list ->
-  ?threads:int ->
-  ?sample_outer:int ->
-  ?engine:engine ->
   ?steps:int ->
   unit ->
   report
-(** The resilient entry point the scheduler uses. Each attempt gets a
-    fresh budget of [steps] walked loop iterations (unlimited when
-    [None]); [Budget.Exhausted] propagates so callers can map it to
-    [infinity] fitness. Any other non-tree-engine failure logs a
-    throttled warning, bumps {!engine_fallbacks} and transparently
-    re-runs on the tree walker. *)
+(** Trace and cost a program with one walk ([sample_outer] > 0 samples
+    the outermost loop of each top-level nest and extrapolates; [engine]
+    defaults to [Bytecode]). The walk gets a fresh budget of [steps]
+    walked loop iterations (unlimited when [None]). Every failure of the
+    walk escapes to the caller once, unchanged:
+    [Daisy_support.Budget.Exhausted] when the budget runs out,
+    [Daisy_support.Util.Deadline_exceeded] past the calling domain's
+    deadline, [Trace.Unsupported_trace] on a program the walk cannot
+    trace, and any injected fault. *)
 
 val engine_fallbacks : unit -> int
-(** Times {!evaluate_guarded} fell back to the tree walker. *)
+(** Always 0: there is no engine fallback. Kept only because
+    [perfbench/bench.ml] calls it, like
+    [Daisy_scheduler.Common.sim_memo_stats]; it goes with the next change
+    to perfbench. *)
 
 val reset_engine_fallbacks : unit -> unit
+(** Does nothing; kept for [perfbench/bench.ml] with {!engine_fallbacks}. *)
 
 val milliseconds : report -> float
 val pp_report : report Fmt.t

@@ -46,9 +46,12 @@
     extrapolated). The batched replay is off; see [docs/performance.md]
     for the accuracy contract.
 
-    Fault points: ["bc_compile"] fires inside lowering, ["bc_run"] before
-    the walk, ["trace_fuse"] before a batched walk — [Cost.evaluate_guarded]
-    falls back to the tree walker on any of them. *)
+    This is the only engine [Cost.evaluate] runs; [Trace.run] stays as
+    the oracle the differential suites and the trace bench compare
+    against. A failure of the walk ([Budget.Exhausted],
+    [Util.Deadline_exceeded], [Trace.Unsupported_trace], or the
+    ["bc_run"] fault point that fires before every walk) escapes to the
+    caller once; nothing re-runs it. *)
 
 open Daisy_support
 module Ir = Daisy_loopir.Ir
@@ -875,8 +878,10 @@ let trace_tnode ~batch ?approx (wctx : Trace.walk_ctx) (bc : B.t)
                  for any stride, address sign, or accumulator value *)
               (* fuel for the whole trip at once (the entry already
                  ticked iteration one), exactly as the chunked mode
-                 spends per hit-run; the deadline poll that [Budget.tick]
-                 amortizes is kept on the same 4096 cadence *)
+                 spends per hit-run. [Budget.spend] polls the deadline
+                 when the charge passes a multiple of 4096; because the
+                 charge comes before the work, a trip longer than that
+                 also polls every 4096 of its own iterations *)
               Budget.spend budget (count - 1);
               if guard then
                 for it = 1 to count do
@@ -927,7 +932,6 @@ let trace_tnode ~batch ?approx (wctx : Trace.walk_ctx) (bc : B.t)
                   then begin
                     let fm = float_of_int m in
                     Budget.spend budget m;
-                    Util.check_deadline ();
                     Cache.l1_hit_run cache ~slots:pl.p_slots
                       ~writes:pl.p_writes ~k:pl.p_touch ~n:m;
                     (if pl.p_loads <> 0.0 then
@@ -1111,7 +1115,6 @@ let run (config : Config.t) (p : Ir.program) ~(sizes : (string * int) list)
     ?approx () : Trace.counters list =
   let batch = batch && approx = None in
   Fault.inject "bc_run";
-  if batch then Fault.inject "trace_fuse";
   let param_env =
     List.fold_left (fun m (k, v) -> Util.SMap.add k v m) Util.SMap.empty sizes
   in

@@ -43,21 +43,17 @@ let request_ctx (base : ctx) ?engine ?eval_steps ?eval_deadline ?sizes () :
     sizes = Option.value ~default:base.sizes sizes;
   }
 
-(** Simulated runtime in milliseconds. Every evaluation goes through
-    {!Cost.evaluate_guarded}: a fresh step budget per candidate
-    ([Budget.Exhausted] escapes for the caller to penalize) and a
-    transparent bytecode -> tree fallback on engine failure. *)
-let runtime_ms (ctx : ctx) (p : Ir.program) : float =
-  Cost.milliseconds
-    (Cost.evaluate_guarded ctx.config p ~sizes:ctx.sizes ~threads:ctx.threads
-       ~sample_outer:ctx.sample_outer ~engine:ctx.engine ?steps:ctx.eval_steps
-       ())
-
-(** Full report (for L1 statistics, FLOP/s). *)
+(** Full report (for L1 statistics, FLOP/s): one {!Cost.evaluate} walk
+    under a fresh budget of [eval_steps]; every engine failure
+    ([Budget.Exhausted] included) escapes for the caller to handle. *)
 let report (ctx : ctx) (p : Ir.program) : Cost.report =
-  Cost.evaluate_guarded ctx.config p ~sizes:ctx.sizes ~threads:ctx.threads
+  Cost.evaluate ctx.config p ~sizes:ctx.sizes ~threads:ctx.threads
     ~sample_outer:ctx.sample_outer ~engine:ctx.engine ?steps:ctx.eval_steps
     ()
+
+(** Simulated runtime in milliseconds, from {!report}. *)
+let runtime_ms (ctx : ctx) (p : Ir.program) : float =
+  Cost.milliseconds (report ctx p)
 
 (* Kept for [perfbench/bench.ml], its only caller, which reports a memo
    hit share per read; there is no simulation memo, so the answer is

@@ -44,13 +44,13 @@ val sim_memo_stats : ctx -> (int * int) option
     it goes with the next change to perfbench. *)
 
 val runtime_ms : ctx -> Daisy_loopir.Ir.program -> float
-(** Simulated runtime in milliseconds, via
-    [Daisy_machine.Cost.evaluate_guarded]: each evaluation gets a fresh
-    budget of [eval_steps] walked iterations
-    ([Daisy_support.Budget.Exhausted] escapes) and bytecode or approx
-    engine failures transparently fall back to the tree walker. *)
+(** Simulated runtime in milliseconds, via [Daisy_machine.Cost.evaluate]:
+    each evaluation is one walk under a fresh budget of [eval_steps]
+    walked iterations, and every engine failure
+    ([Daisy_support.Budget.Exhausted] included) escapes to the caller. *)
 
 val report : ctx -> Daisy_loopir.Ir.program -> Daisy_machine.Cost.report
+(** The full report behind {!runtime_ms}. *)
 
 val single_nest_program :
   Daisy_loopir.Ir.program -> Daisy_loopir.Ir.node -> Daisy_loopir.Ir.program

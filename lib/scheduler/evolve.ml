@@ -57,18 +57,6 @@ let cache_find cache key =
   Mutex.unlock cache.lock;
   v
 
-let cache_hits cache =
-  Mutex.lock cache.lock;
-  let h = cache.hits in
-  Mutex.unlock cache.lock;
-  h
-
-let cache_misses cache =
-  Mutex.lock cache.lock;
-  let m = cache.misses in
-  Mutex.unlock cache.lock;
-  m
-
 let cache_store cache key v =
   Mutex.lock cache.lock;
   Hashtbl.replace cache.tbl key v;

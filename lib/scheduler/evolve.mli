@@ -9,15 +9,12 @@ type fitness_cache
 
 val create_cache : ?size:int -> unit -> fitness_cache
 
-val cache_hits : fitness_cache -> int
-val cache_misses : fitness_cache -> int
-(** Lookup counters: a hit means a candidate's simulated runtime was reused
-    from the memo table instead of re-walking the trace. Keys canonicalize
-    the nest ({!Daisy_loopir.Ir.canon_nodes}), so structurally identical
-    candidates hit even when built with fresh loop ids. *)
-
 val cache_stats : fitness_cache -> int * int
-(** [(hits, misses)] read as one consistent pair. This is the only
+(** Lookup counters [(hits, misses)], read as one consistent pair: a hit
+    means a candidate's simulated runtime was reused from the memo table
+    instead of re-walking the trace. Keys canonicalize the nest
+    ({!Daisy_loopir.Ir.canon_nodes}), so structurally identical
+    candidates hit even when built with fresh loop ids. This is the only
     cross-candidate memoization: a miss re-walks the trace. *)
 
 val eval_cached :

@@ -18,12 +18,12 @@
     - transient failures (injected ["serve_eval"] faults, engine
       crashes) are retried once after a backoff; a second crash poisons
       the request's content hash so the same program is {e never}
-      retried into a crash loop ([quarantined] on resubmission);
+      retried into a crash loop ([quarantined] on resubmission). No
+      other engine answers for a failing trace walk: [Cost.evaluate]
+      lets its error reach this handler once;
     - under pressure (queue depth >= [degrade_depth]) evaluation
       degrades to the [Approx] cost engine and the response carries a
-      [degraded] flag — never a silently wrong recipe (the engine
-      fallback to the tree walker inside [Cost.evaluate_guarded] is
-      always active as well);
+      [degraded] flag — never a silently wrong recipe;
     - SIGTERM/shutdown drains queued connections, then checkpoints the
       poison set and counters to the journal so a restarted daemon
       keeps refusing known-poison programs. *)

@@ -27,12 +27,15 @@ val unlimited : unit -> t
 
 val tick : t -> unit
 (** Consume one step; raises {!exception:Exhausted} when none remain.
-    Every 4096th tick also polls the calling domain's wall-clock deadline
-    ({!Daisy_support.Util.check_deadline}), so a supervised evaluation
-    raises [Util.Deadline_exceeded] soon after its deadline passes. *)
+    Whenever the fuel reaches a multiple of 4096 it also polls the calling
+    domain's wall-clock deadline ({!Daisy_support.Util.check_deadline}),
+    so a supervised evaluation raises [Util.Deadline_exceeded] soon after
+    its deadline passes. *)
 
 val spend : t -> int -> unit
-(** Consume [n] steps at once (negative [n] is treated as 0). *)
+(** Consume [n] steps at once (negative [n] is treated as 0). Polls the
+    deadline like {!tick} whenever the charge passes a multiple of 4096,
+    so mixing ticks and spends never skips a poll. *)
 
 val remaining : t -> int
 (** Fuel left, clamped to 0. *)

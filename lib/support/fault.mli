@@ -6,11 +6,11 @@
     raises {!exception:Injected}. Unarmed points cost one atomic load, so
     the hooks ship in production code paths.
 
-    Injection points in the tree include: ["bc_compile"] (bytecode
-    lowering), ["bc_run"] (bytecode interpreter and trace engine entry),
-    ["trace_fuse"] (batched trace replay entry), ["pool_task"] (every
-    pool-executed task), ["db_load"] (every database entry parsed from
-    disk). See docs/robustness.md.
+    Injection points in the tree include: ["bc_run"] (the trace walk
+    entry, [Trace_bc.run], once per cost-model evaluation),
+    ["pool_task"] (every pool-executed task), ["db_load"] (every
+    database entry parsed from disk). See docs/robustness.md for the
+    full table.
 
     Triggers:
     - [always] — fire on every call;

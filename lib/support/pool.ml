@@ -210,9 +210,10 @@ let iter ?pool f xs =
 
    A deadline cannot preempt an OCaml domain, so it is cooperative: the
    task's deadline is registered in the executing domain's DLS slot
-   ([Util.set_deadline]) and every engine polls it from [Budget.tick] —
-   a supervised evaluation raises [Util.Deadline_exceeded] within 4096
-   iterations of its deadline passing. *)
+   ([Util.set_deadline]) and every engine polls it through its budget
+   ([Budget.tick] and [Budget.spend]) — a supervised evaluation raises
+   [Util.Deadline_exceeded] within 4096 iterations of its deadline
+   passing. *)
 
 let map_supervised ?pool ?deadline_s ?(fatal = fun _ -> false) f xs =
   let attempt x = Util.with_deadline deadline_s (fun () -> f x) in

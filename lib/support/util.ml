@@ -151,7 +151,7 @@ let check_deadline () =
 
 (** [with_deadline d f] — run [f] with a deadline of [d] seconds from now
     on this domain (cleared afterwards); [None] runs unconstrained.
-    Engines poll {!check_deadline} from [Budget.tick], so any budgeted
+    Engines poll {!check_deadline} through their budget, so any budgeted
     evaluation raises {!Deadline_exceeded} soon after the wall-clock
     budget runs out. *)
 let with_deadline (d : float option) (f : unit -> 'a) : 'a =

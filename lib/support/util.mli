@@ -42,9 +42,9 @@ val monotonic_s : unit -> float
     discontinuities. The only place the toolchain reads wall time. *)
 
 exception Deadline_exceeded
-(** Raised by {!check_deadline} (polled from [Budget.tick], i.e. from
-    inside every engine) when the current domain's evaluation deadline
-    has passed. *)
+(** Raised by {!check_deadline} (polled from [Budget.tick] and
+    [Budget.spend], i.e. from inside every engine) when the current
+    domain's evaluation deadline has passed. *)
 
 val set_deadline : float option -> unit
 (** Set or clear the absolute deadline ({!monotonic_s} seconds) for

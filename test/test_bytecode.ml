@@ -156,16 +156,13 @@ let test_budget_brackets () =
   expect_exhausted "interp" (total - 1) (interp (total - 1));
   expect_exhausted "interp" (total - n) (interp (total - n));
   List.iter
-    (fun (nm, engine) ->
-      let go steps () =
-        ignore
-          (Cost.evaluate config p ~sizes ~engine
-             ~budget:(Budget.make ~steps) ())
-      in
+    (fun (nm, walk) ->
+      let go steps () = ignore (walk (Budget.make ~steps)) in
       expect_ok ("trace:" ^ nm) (go total);
       expect_exhausted ("trace:" ^ nm) (total - 1) (go (total - 1));
       expect_exhausted ("trace:" ^ nm) (total - n) (go (total - n)))
-    [ ("tree", Cost.Tree); ("bytecode", Cost.Bytecode) ]
+    [ ("tree", fun budget -> Trace.run config p ~sizes ~budget ());
+      ("bytecode", fun budget -> Tb.run config p ~sizes ~budget ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across pool job counts                                   *)
@@ -174,16 +171,13 @@ let test_parallel_jobs () =
   let progs =
     List.map (fun (b : Pb.benchmark) -> (Pb.program b, b.Pb.test_sizes)) Pb.all
   in
-  let eval engine (p, sizes) =
-    (Cost.evaluate config p ~sizes ~engine ()).Cost.nests
+  let eval (p, sizes) =
+    (Cost.evaluate config p ~sizes ()).Cost.nests
     |> List.map (fun nc -> nc.Cost.counters)
   in
-  let seq = List.map (eval Cost.Bytecode) progs in
-  let par =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Pool.map ?pool (eval Cost.Bytecode) progs)
-  in
-  let reference = List.map (eval Cost.Tree) progs in
+  let seq = List.map eval progs in
+  let par = Pool.with_pool ~jobs:4 (fun pool -> Pool.map ?pool eval progs) in
+  let reference = List.map (fun (p, sizes) -> Trace.run config p ~sizes ()) progs in
   let check what a b =
     List.iteri
       (fun i (xs, ys) ->

@@ -167,30 +167,6 @@ let test_lift_all_polybench () =
             (List.length (Ir.loops_in lifted.Ir.body)))
     Pb.all
 
-let test_lir_parser_roundtrip () =
-  (* print -> parse -> print is a fixpoint, and the reparsed function lifts
-     to the same program *)
-  List.iter
-    (fun (b : Pb.benchmark) ->
-      let f =
-        From_ast.lower
-          (Daisy_lang.Sema.check
-             (Daisy_lang.Parser.parse_kernel_string ~source:(b.Pb.name ^ ".c")
-                b.Pb.source))
-      in
-      let f' = Daisy_lir.Parse.reparse f in
-      Alcotest.(check string)
-        (b.Pb.name ^ " printer/parser fixpoint")
-        (L.func_to_string f) (L.func_to_string f');
-      match (Lift.lift_result f, Lift.lift_result f') with
-      | Ok p1, Ok p2 ->
-          Alcotest.(check bool)
-            (b.Pb.name ^ " reparsed lifts identically")
-            true
-            (Ir.equal_structure p1.Ir.body p2.Ir.body)
-      | _ -> Alcotest.failf "%s failed to lift after reparse" b.Pb.name)
-    [ Pb.gemm; Pb.find "jacobi-2d"; Pb.find "correlation" ]
-
 let test_lift_structural_match_after_normalization () =
   (* after normalization, direct and lifted gemm converge to the same
      canonical structure (scalar names aside, gemm has none) *)
@@ -216,6 +192,5 @@ let suite =
     ("lift downward loop", `Quick, test_lift_downward);
     ("lift stale-read hazard", `Quick, test_lift_stale_read_hazard);
     ("lift all 15 polybench", `Slow, test_lift_all_polybench);
-    ("lir printer/parser roundtrip", `Quick, test_lir_parser_roundtrip);
     ("lift matches after normalization", `Quick, test_lift_structural_match_after_normalization);
   ]

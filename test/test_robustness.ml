@@ -1,6 +1,6 @@
-(** Robustness tests (docs/robustness.md): step budgets bound every
-    evaluation, engine failures degrade to the tree oracle, pool batches
-    fail fast deterministically, the on-disk database round-trips
+(** Robustness tests (docs/robustness.md): step budgets and deadlines
+    bound every evaluation, engine failures reach the caller once, pool
+    batches fail fast deterministically, the on-disk database round-trips
     bit-identically and tolerates corruption, and the structural
     validator catches malformed IR. Failures are forced with
     {!Daisy_support.Fault}. *)
@@ -11,9 +11,12 @@ module Budget = Daisy_support.Budget
 module Fault = Daisy_support.Fault
 module Pool = Daisy_support.Pool
 module Diag = Daisy_support.Diag
+module Util = Daisy_support.Util
 module Interp = Daisy_interp.Interp
 module Cost = Daisy_machine.Cost
 module Config = Daisy_machine.Config
+module Trace = Daisy_machine.Trace
+module Trace_bc = Daisy_machine.Trace_bc
 module Recipe = Daisy_transforms.Recipe
 module Embedding = Daisy_embedding.Embedding
 module Pipeline = Daisy_normalize.Pipeline
@@ -77,7 +80,7 @@ let test_budget_interp_engines () =
 
 (* The acceptance regression: an adversarially large iteration space
    (~10^10 walked iterations) must abort within its step budget on every
-   engine instead of hanging. *)
+   engine instead of hanging: both [Cost] engines and the tree oracle. *)
 let test_budget_bounds_adversarial_evaluation () =
   let p = lower gemm_src in
   let sizes = [ ("n", 2_000) ] in
@@ -88,10 +91,32 @@ let test_budget_bounds_adversarial_evaluation () =
         Budget.Exhausted
         (fun () ->
           ignore
-            (Cost.evaluate_guarded Config.default p ~sizes ~engine
-               ~steps:10_000 ())))
-    [ Cost.Tree; Cost.Bytecode;
-      Cost.Approx Daisy_machine.Trace_bc.default_approx ]
+            (Cost.evaluate Config.default p ~sizes ~engine ~steps:10_000 ())))
+    [ Cost.Bytecode; Cost.Approx Trace_bc.default_approx ];
+  Alcotest.check_raises "tree oracle" Budget.Exhausted (fun () ->
+      ignore
+        (Trace.run Config.default p ~sizes
+           ~budget:(Budget.make ~steps:10_000) ()))
+
+(* The fused replay charges whole trips through [Budget.spend]; the
+   deadline must still be polled, whatever the trip counts. With [k]
+   innermost every access to [B] starts a new cache line, so the replay
+   runs whole 256-iteration trips that never land a tick on a multiple of
+   4096, and the walk takes seconds when only ticks poll. *)
+let test_deadline_stops_fused_walk () =
+  let p =
+    lower
+      {|void f(int n, double C[n][n], double A[n][n], double B[n][n]) {
+          for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+              for (int k = 0; k < n; k++)
+                C[i][j] += A[i][k] * B[k][j];
+        }|}
+  in
+  Alcotest.check_raises "gemm n = 256 under a 10 ms deadline"
+    Util.Deadline_exceeded (fun () ->
+      Util.with_deadline (Some 0.010) (fun () ->
+          ignore (Trace_bc.run Config.default p ~sizes:[ ("n", 256) ] ())))
 
 let test_budget_exhaustion_is_infinity_fitness () =
   let p = lower gemm_src in
@@ -105,82 +130,75 @@ let test_budget_exhaustion_is_infinity_fitness () =
     (fit = infinity)
 
 (* ------------------------------------------------------------------ *)
-(* Graceful engine degradation *)
+(* Engine errors *)
 
-(** The approximate engine runs on the bytecode walk: a failing [bc_run]
-    drops it to the tree walker with exactly one fallback counted, while
-    [trace_fuse] never fires under approx (the batched replay is off). *)
-let test_trace_engine_fallback_same_result () =
+(** [f ()] must raise an exception [expect] accepts after exactly one
+    trace walk (one call at the ["bc_run"] point, which is armed with a
+    trigger that never fires unless [fault] arms it for real) and log no
+    warning under the [trace_fallback] label of any engine. *)
+let escapes_once ?(fault = false) what expect f =
   with_faults (fun () ->
-      let p = lower gemm_src in
-      let sizes = [ ("n", 24) ] in
-      let approx = Cost.Approx Daisy_machine.Trace_bc.default_approx in
-      let reference =
-        Cost.evaluate_guarded Config.default p ~sizes ~engine:Cost.Tree ()
-      in
-      let unarmed =
-        Cost.evaluate_guarded Config.default p ~sizes ~engine:approx ()
-      in
-      Cost.reset_engine_fallbacks ();
-      Fault.arm_always "bc_run";
-      let guarded =
-        Cost.evaluate_guarded Config.default p ~sizes ~engine:approx ()
-      in
-      Alcotest.(check int) "one fallback" 1 (Cost.engine_fallbacks ());
-      Alcotest.(check (float 0.0)) "tree-identical milliseconds"
-        (Cost.milliseconds reference)
-        (Cost.milliseconds guarded);
-      Fault.clear ();
-      Cost.reset_engine_fallbacks ();
-      Fault.arm_always "trace_fuse";
-      let fused_armed =
-        Cost.evaluate_guarded Config.default p ~sizes ~engine:approx ()
-      in
-      Alcotest.(check int) "trace_fuse never fires under approx" 0
-        (Cost.engine_fallbacks ());
-      Alcotest.(check (float 0.0)) "approx result unchanged"
-        (Cost.milliseconds unarmed)
-        (Cost.milliseconds fused_armed))
-
-(** The degradation chain of the trace backend: any failing bytecode
-    stage (lowering, walk, batched replay) steps down to the tree oracle
-    with one fallback — bit-identical report every time. *)
-let test_bytecode_trace_fallback_chain () =
-  with_faults (fun () ->
-      let p = lower gemm_src in
-      let sizes = [ ("n", 24) ] in
-      let reference =
-        Cost.evaluate_guarded Config.default p ~sizes ~engine:Cost.Tree ()
-      in
+      Diag.reset_warn ();
+      if fault then Fault.arm_always "bc_run"
+      else Fault.arm_prob "bc_run" ~p:0.0 ~seed:"count";
+      (match f () with
+      | _ -> Alcotest.failf "%s: no exception escaped" what
+      | exception e when expect e -> ()
+      | exception e ->
+          Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e));
+      Alcotest.(check int) (what ^ ": one walk") 1 (Fault.calls "bc_run");
       List.iter
-        (fun (what, labels) ->
-          Fault.clear ();
-          List.iter Fault.arm_always labels;
-          Cost.reset_engine_fallbacks ();
-          let guarded =
-            Cost.evaluate_guarded Config.default p ~sizes
-              ~engine:Cost.Bytecode ()
-          in
-          Alcotest.(check int) (what ^ ": one fallback") 1
-            (Cost.engine_fallbacks ());
-          Alcotest.(check (float 0.0)) (what ^ ": bitwise-identical result")
-            (Cost.milliseconds reference)
-            (Cost.milliseconds guarded))
-        [ ("bc_run -> tree", [ "bc_run" ]);
-          ("bc_compile -> tree", [ "bc_compile" ]);
-          ("trace_fuse -> tree", [ "trace_fuse" ]);
-          ("bc_run + trace_fuse -> tree", [ "bc_run"; "trace_fuse" ]) ])
+        (fun engine ->
+          Alcotest.(check int)
+            (what ^ ": no trace_fallback warning")
+            0
+            (Diag.warn_calls ("trace_fallback:" ^ engine)))
+        [ "bytecode"; "approx" ])
 
-let test_budget_exhaustion_is_not_masked () =
-  (* evaluate_guarded must let Exhausted escape, not silently retry on
-     the tree walker with fresh fuel *)
+(** Every failure of a walk escapes [Cost.evaluate] once, on both
+    engines: nothing re-runs the program on another engine. *)
+let test_engine_errors_reach_the_caller_once () =
   let p = lower gemm_src in
-  Cost.reset_engine_fallbacks ();
-  Alcotest.check_raises "propagates" Budget.Exhausted (fun () ->
-      ignore
-        (Cost.evaluate_guarded Config.default p ~sizes:[ ("n", 64) ]
-           ~engine:Cost.Bytecode ~steps:10 ()));
-  Alcotest.(check int) "no fallback recorded" 0 (Cost.engine_fallbacks ())
+  let sizes = [ ("n", 64) ] in
+  List.iter
+    (fun engine ->
+      let name = Cost.string_of_engine engine in
+      let eval ?steps q () =
+        Cost.evaluate Config.default q ~sizes ~engine ?steps ()
+      in
+      escapes_once (name ^ ": budget")
+        (function Budget.Exhausted -> true | _ -> false)
+        (eval ~steps:10 p);
+      (* the arrays dropped: the walk meets an unknown container. With
+         DAISY_VALIDATE the lowering's validator would reject the program
+         first, so this case runs with validation off. *)
+      let validating = !Ir.validation_enabled in
+      Fun.protect
+        ~finally:(fun () -> Ir.validation_enabled := validating)
+        (fun () ->
+          Ir.validation_enabled := false;
+          escapes_once (name ^ ": unsupported trace")
+            (function Trace.Unsupported_trace _ -> true | _ -> false)
+            (eval { p with Ir.arrays = [] }));
+      (* a deadline that has already passed: the walk's first poll *)
+      escapes_once (name ^ ": deadline")
+        (function Util.Deadline_exceeded -> true | _ -> false)
+        (fun () ->
+          Util.set_deadline (Some (Util.monotonic_s () -. 1.0));
+          Fun.protect ~finally:(fun () -> Util.set_deadline None) (eval p));
+      escapes_once ~fault:true (name ^ ": injected fault")
+        (function Fault.Injected "bc_run" -> true | _ -> false)
+        (eval p))
+    [ Cost.Bytecode; Cost.Approx Trace_bc.default_approx ]
+
+(** The scheduler's entry point adds no retry either: a candidate that
+    blows its step budget escapes [Common.runtime_ms] after one walk. *)
+let test_budget_exhaustion_is_not_masked () =
+  let p = lower gemm_src in
+  let ctx = S.Common.make_ctx ~sizes:[ ("n", 64) ] ~eval_steps:10 () in
+  escapes_once "Common.runtime_ms"
+    (function Budget.Exhausted -> true | _ -> false)
+    (fun () -> S.Common.runtime_ms ctx p)
 
 (* ------------------------------------------------------------------ *)
 (* Pool failure semantics *)
@@ -651,10 +669,10 @@ let suite =
       test_budget_bounds_adversarial_evaluation;
     Alcotest.test_case "budget: exhaustion scores infinity" `Quick
       test_budget_exhaustion_is_infinity_fitness;
-    Alcotest.test_case "fallback: trace engine, identical result" `Quick
-      test_trace_engine_fallback_same_result;
-    Alcotest.test_case "fallback: bytecode trace chain" `Quick
-      test_bytecode_trace_fallback_chain;
+    Alcotest.test_case "budget: deadline stops the fused walk" `Quick
+      test_deadline_stops_fused_walk;
+    Alcotest.test_case "engine errors reach the caller once" `Quick
+      test_engine_errors_reach_the_caller_once;
     Alcotest.test_case "fallback: budget exhaustion not masked" `Quick
       test_budget_exhaustion_is_not_masked;
     Alcotest.test_case "pool: lowest failure wins at any job count" `Quick

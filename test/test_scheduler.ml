@@ -173,15 +173,15 @@ let test_fitness_cache_hits () =
   let t1 = eval () in
   let t2 = eval () in
   let t3 = eval () in
-  Alcotest.(check int) "one miss" 1 (S.Evolve.cache_misses cache);
-  Alcotest.(check int) "two hits" 2 (S.Evolve.cache_hits cache);
+  Alcotest.(check (pair int int)) "two hits, one miss" (2, 1)
+    (S.Evolve.cache_stats cache);
   Alcotest.(check bool) "same fitness" true (t1 = t2 && t2 = t3);
   (* a different recipe is a different key: one more miss, no new hits *)
   ignore
     (S.Evolve.eval_cached cache small_ctx ~outer p nest
        [ Daisy_transforms.Recipe.Vectorize ]);
-  Alcotest.(check int) "distinct recipe misses" 2 (S.Evolve.cache_misses cache);
-  Alcotest.(check int) "hits unchanged" 2 (S.Evolve.cache_hits cache)
+  Alcotest.(check (pair int int)) "distinct recipe misses, hits unchanged"
+    (2, 2) (S.Evolve.cache_stats cache)
 
 let test_database_roundtrip () =
   let db = S.Database.create () in

@@ -492,6 +492,31 @@ let test_retry_and_poison () =
                 (r.P.blas_calls >= 0)));
       if Sys.file_exists checkpoint then Sys.remove checkpoint)
 
+(** No engine answers for a failing one: with every trace walk failing,
+    a schedule request is retried once, then its program is quarantined
+    and refused on resubmission without another walk. *)
+let test_engine_crash_quarantined () =
+  with_faults (fun () ->
+      let t = Server.create (test_config ~jobs:1 (fresh_socket ())) in
+      let counters = Server.counters t in
+      Fault.arm_always "bc_run";
+      (match Server.handle_schedule t (submit gemm_src) with
+      | P.Error_reply { code = P.Eval_failed; message; _ } ->
+          Alcotest.(check bool) "mentions quarantine" true
+            (contains_sub ~sub:"quarantined" message);
+          Alcotest.(check bool) "names the injected fault" true
+            (contains_sub ~sub:"bc_run" message)
+      | P.Schedule_reply _ -> Alcotest.fail "answered although every walk fails"
+      | _ -> Alcotest.fail "expected Eval_failed");
+      Alcotest.(check int) "retried once" 1
+        (Atomic.get counters.Server.retried);
+      Alcotest.(check int) "poisoned" 1 (Atomic.get counters.Server.poisoned);
+      let walks = Fault.calls "bc_run" in
+      (match Server.handle_schedule t (submit gemm_src) with
+      | P.Error_reply { code = P.Quarantined; _ } -> ()
+      | _ -> Alcotest.fail "expected Quarantined");
+      Alcotest.(check int) "refused without a walk" walks (Fault.calls "bc_run"))
+
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation under pressure                                 *)
 
@@ -750,6 +775,8 @@ let suite =
     Alcotest.test_case "load shedding" `Quick test_shed;
     Alcotest.test_case "client quota" `Quick test_quota;
     Alcotest.test_case "retry, poison, quarantine" `Quick test_retry_and_poison;
+    Alcotest.test_case "engine crash: retry, then quarantine" `Quick
+      test_engine_crash_quarantined;
     Alcotest.test_case "graceful degradation" `Quick test_degraded;
     Alcotest.test_case "warm-store reload" `Quick test_store_reload;
     Alcotest.test_case "warm-store reload (directory)" `Quick

@@ -1,4 +1,4 @@
-(** Tests for the support library: deterministic RNG, union-find, utility
+(** Tests for the support library: deterministic RNG, utility
     functions, locations and diagnostics. *)
 
 open Daisy_support
@@ -34,22 +34,6 @@ let test_rng_shuffle_permutes () =
   let xs = List.init 30 Fun.id in
   let ys = Rng.shuffle r xs in
   Alcotest.(check (list int)) "same elements" xs (List.sort compare ys)
-
-(* ------------------------------------------------------------------ *)
-(* Union-find *)
-
-let test_union_find () =
-  let uf = Union_find.create 10 in
-  Alcotest.(check int) "initial classes" 10 (Union_find.n_classes uf);
-  Union_find.union uf 0 1;
-  Union_find.union uf 1 2;
-  Union_find.union uf 5 6;
-  Alcotest.(check bool) "0 ~ 2" true (Union_find.same uf 0 2);
-  Alcotest.(check bool) "0 !~ 5" false (Union_find.same uf 0 5);
-  Alcotest.(check int) "classes" 7 (Union_find.n_classes uf);
-  let groups = Union_find.groups uf in
-  Alcotest.(check int) "group count" 7 (List.length groups);
-  Alcotest.(check (list int)) "first group" [ 0; 1; 2 ] (List.hd groups)
 
 (* ------------------------------------------------------------------ *)
 (* Util *)
@@ -107,7 +91,6 @@ let suite =
     ("rng streams differ", `Quick, test_rng_streams_differ);
     ("rng bounds", `Quick, test_rng_bounds);
     ("rng shuffle permutes", `Quick, test_rng_shuffle_permutes);
-    ("union-find", `Quick, test_union_find);
     ("gcd/lcm", `Quick, test_gcd_lcm);
     ("permutations", `Quick, test_permutations);
     ("take/drop/span", `Quick, test_take_drop_span);
