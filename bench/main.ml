@@ -35,51 +35,52 @@ let experiments =
      Loadgen.serve_bench_smoke);
   ]
 
+(* The harness options, each with one value, spelled [--opt V] or
+   [--opt=V] ([-j] is short for [--jobs]); every other argument names
+   an experiment. *)
+let options =
+  let jobs v = Harness.jobs := int_of_string v in
+  [ ("--jobs", jobs);
+    ("-j", jobs);
+    ("--sample-outer", fun v -> Harness.sample := int_of_string v);
+    ("--trace-engine",
+     fun v -> Harness.engine := Daisy_machine.Cost.engine_of_string v);
+    ("--checkpoint", fun v -> Harness.checkpoint := Some v) ]
+
+let usage_error msg =
+  Format.eprintf
+    "main.exe: %s@.usage: main.exe [--jobs N] [--sample-outer N] \
+     [--trace-engine bytecode|approx] [--checkpoint FILE] [EXPERIMENT...]@.\
+     experiments: %s@."
+    msg
+    (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
+  exit 2
+
+let rec parse_args = function
+  | [] -> []
+  | arg :: rest -> (
+      let name, inline =
+        match String.index_opt arg '=' with
+        | Some i ->
+            ( String.sub arg 0 i,
+              Some (String.sub arg (i + 1) (String.length arg - i - 1)) )
+        | None -> (arg, None)
+      in
+      match List.assoc_opt name options with
+      | None -> arg :: parse_args rest
+      | Some set ->
+          let v, rest =
+            match (inline, rest) with
+            | Some v, _ -> (v, rest)
+            | None, v :: rest -> (v, rest)
+            | None, [] -> usage_error (name ^ " needs a value")
+          in
+          (try set v
+           with Failure _ | Invalid_argument _ ->
+             usage_error (Printf.sprintf "bad value %S for %s" v name));
+          parse_args rest)
+
 let () =
-  (* strip --jobs N / --sample-outer N / --trace-engine E options (with
-     their --opt=value spellings) before experiment names *)
-  let opt_value ~prefix arg =
-    let n = String.length prefix in
-    if String.length arg > n && String.sub arg 0 n = prefix then
-      Some (String.sub arg n (String.length arg - n))
-    else None
-  in
-  let rec parse_args = function
-    | [] -> []
-    | ("--jobs" | "-j") :: v :: rest ->
-        Harness.jobs := int_of_string v;
-        parse_args rest
-    | "--sample-outer" :: v :: rest ->
-        Harness.sample := int_of_string v;
-        parse_args rest
-    | "--trace-engine" :: v :: rest ->
-        Harness.engine := Daisy_machine.Cost.engine_of_string v;
-        parse_args rest
-    | "--checkpoint" :: v :: rest ->
-        Harness.checkpoint := Some v;
-        parse_args rest
-    | arg :: rest -> (
-        match opt_value ~prefix:"--jobs=" arg with
-        | Some v ->
-            Harness.jobs := int_of_string v;
-            parse_args rest
-        | None -> (
-            match opt_value ~prefix:"--sample-outer=" arg with
-            | Some v ->
-                Harness.sample := int_of_string v;
-                parse_args rest
-            | None -> (
-                match opt_value ~prefix:"--trace-engine=" arg with
-                | Some v ->
-                    Harness.engine := Daisy_machine.Cost.engine_of_string v;
-                    parse_args rest
-                | None -> (
-                    match opt_value ~prefix:"--checkpoint=" arg with
-                    | Some v ->
-                        Harness.checkpoint := Some v;
-                        parse_args rest
-                    | None -> arg :: parse_args rest))))
-  in
   let requested =
     match parse_args (List.tl (Array.to_list Sys.argv)) with
     | [] ->

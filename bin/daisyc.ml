@@ -116,10 +116,10 @@ let engine_conv : Daisy.Machine.Cost.engine Arg.conv =
 let engine_arg =
   Arg.(value & opt engine_conv Daisy.Machine.Cost.Bytecode
          & info [ "trace-engine" ] ~docv:"ENGINE"
-             ~doc:"Cost-model trace engine: $(b,bytecode) (the flat \
-                   trace walk, exact; default) or $(b,approx) (the same \
-                   walk, sampled; see docs/performance.md for the \
-                   accuracy contract).")
+             ~doc:"Cost-model trace engine: $(b,bytecode) (the walk of \
+                   each nest's trace plan, exact; default) or $(b,approx) \
+                   (the same walk, sampled; see docs/performance.md for \
+                   the accuracy contract).")
 
 let eval_budget_arg =
   Arg.(value & opt (some int) None & info [ "eval-budget" ] ~docv:"STEPS"

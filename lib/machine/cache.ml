@@ -9,8 +9,8 @@
     warning per distinct geometry) so the hot path can use a shift for the
     line address and a mask for the set index — no division or modulo per
     access. The fused trace replay ({!Trace_bc}) additionally uses
-    {!l1_probe} / {!l1_hit_run} to retire whole all-hit loop trips in one
-    O(sites) step. *)
+    {!l1_probe_memo} / {!l1_hit_run} to retire whole all-hit loop trips in
+    one O(sites) step. *)
 
 module Diag = Daisy_support.Diag
 
@@ -171,7 +171,8 @@ let access_level (t : t) (lv : level) (line : int) ~(write : bool) :
   end
 
 (** [access_line t ~line ~write] — one memory access through the
-    hierarchy, line-addressed (the fused replay precomputes lines). *)
+    hierarchy, line-addressed: the body of {!access} and of
+    {!l1_replay_advance}'s slow path. *)
 let access_line (t : t) ~(line : int) ~(write : bool) : unit =
   match access_level t t.l1 line ~write with
   | `Hit -> ()
@@ -235,33 +236,15 @@ let l1_replay_advance (t : t) ~(addrs : int array) ~(deltas : int array)
 (* ------------------------------------------------------------------ *)
 (* Fused replay fast path                                              *)
 
-(** Pure residency probe: true iff every [lines.(0..n-1)] currently hits
-    in L1, filling [slots] with each line's L1 slot index. No statistics,
-    no clock movement, no LRU update — safe to call speculatively. *)
-let l1_probe (t : t) ~(lines : int array) ~(n : int) ~(slots : int array) :
-    bool =
-  let lv = t.l1 in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let line = lines.(!i) in
-    let base = (line land lv.set_mask) * lv.assoc in
-    let rec find w =
-      if w = lv.assoc then -1
-      else if lv.tags.(base + w) = line then base + w
-      else find (w + 1)
-    in
-    let s = find 0 in
-    if s < 0 then ok := false else slots.(!i) <- s;
-    incr i
-  done;
-  !ok
-
-(** [l1_probe_memo] — {!l1_probe} consulting (and re-arming) the
-    caller's per-touch slot memo: a touch whose line is unchanged at a
-    matching set epoch is proven resident without a tag scan; a scanned
-    hit records its slot back into the memo (a true residency fact, so
-    later accesses charging hits through it stay bit-identical). *)
+(** [l1_probe_memo t ~lines ~n ~slots ~mline ~mslot ~mep] — pure
+    residency probe: true iff every [lines.(0..n-1)] currently hits in
+    L1, filling [slots] with each line's L1 slot index. No statistics, no
+    clock movement, no LRU update — safe to call speculatively. It
+    consults (and re-arms) the caller's per-touch slot memo: a touch
+    whose line is unchanged at a matching set epoch is proven resident
+    without a tag scan; a scanned hit records its slot back into the
+    memo (a true residency fact, so later accesses charging hits through
+    it stay bit-identical). *)
 let l1_probe_memo (t : t) ~(lines : int array) ~(n : int)
     ~(slots : int array) ~(mline : int array) ~(mslot : int array)
     ~(mep : int array) : bool =
@@ -298,8 +281,9 @@ let l1_probe_memo (t : t) ~(lines : int array) ~(n : int)
 (** [l1_hit_run t ~slots ~writes ~k ~n] — retire [n] iterations of a
     [k]-touch all-L1-hit pattern in O(k): bit-identical to calling
     {!access} n*k times when every touch hits (the caller must have
-    proved residency with {!l1_probe}; all-hit traffic cannot evict, so
-    residency over one probed iteration implies it for the whole run).
+    proved residency with {!l1_probe_memo}; all-hit traffic cannot evict,
+    so residency over one probed iteration implies it for the whole
+    run).
 
     Exactness: per-touch the generic path bumps [accesses] by 1.0 from an
     integer-valued float (exact while < 2^53, as is the single fused add),

@@ -30,11 +30,6 @@ val clock : t -> int
 val access : t -> addr:int -> write:bool -> unit
 (** One memory access through the hierarchy. *)
 
-val access_line : t -> line:int -> write:bool -> unit
-(** Same, line-addressed: [access t ~addr] is
-    [access_line t ~line:(addr lsr l1_line_shift t)]. The fused replay
-    precomputes line addresses and bumps them by per-iteration strides. *)
-
 val l1_replay_advance :
   t ->
   addrs:int array ->
@@ -59,11 +54,6 @@ val l1_replay_advance :
     iteration (|delta| >= line size), so a memo entry armed last
     iteration can never match. *)
 
-val l1_probe : t -> lines:int array -> n:int -> slots:int array -> bool
-(** Pure residency probe: true iff every [lines.(0..n-1)] currently hits
-    in L1, filling [slots.(0..n-1)] with the L1 slot of each line. No
-    statistics, clock or LRU side effects. *)
-
 val l1_probe_memo :
   t ->
   lines:int array ->
@@ -73,15 +63,18 @@ val l1_probe_memo :
   mslot:int array ->
   mep:int array ->
   bool
-(** {!l1_probe} consulting (and re-arming) the caller's per-touch slot
-    memo: memo-valid touches prove residency without a tag scan, and
-    scanned hits record their slots back into the memo. *)
+(** Pure residency probe: true iff every [lines.(0..n-1)] currently hits
+    in L1, filling [slots.(0..n-1)] with the L1 slot of each line. No
+    statistics, clock or LRU side effects. It consults (and re-arms) the
+    caller's per-touch slot memo ([mline]/[mslot]/[mep] as for
+    {!l1_replay_advance}): memo-valid touches prove residency without a
+    tag scan, and scanned hits record their slots back into the memo. *)
 
 val l1_hit_run : t -> slots:int array -> writes:bool array -> k:int -> n:int -> unit
 (** Retire [n] iterations of a [k]-touch all-L1-hit pattern in O(k),
     bit-identical to n*k generic hits (see the implementation for the
     stamp/clock argument). Caller must have proved residency of all [k]
-    lines with {!l1_probe} immediately before. *)
+    lines with {!l1_probe_memo} immediately before. *)
 
 val flush_l1 : t -> unit
 val flush_l2 : t -> unit

@@ -81,8 +81,8 @@ let nest_cycles (config : Config.t) ~(threads : int) (c : Trace.counters) :
   in
   { counters = c; threads_used = p; cycles = base +. t_atomic +. overhead }
 
-(** Which trace engine produces the counters. Both walk the flat trace
-    sections ({!Trace_bc}): [Bytecode] exactly, bit-identical to the
+(** Which trace engine produces the counters. Both walk each nest's trace
+    plan ({!Trace_bc}): [Bytecode] exactly, bit-identical to the
     reference walker [Trace.run], and the default; [Approx] with
     line-granular stepping and adaptive loop sampling (bounded relative
     error, see docs/performance.md). *)

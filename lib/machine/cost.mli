@@ -25,8 +25,8 @@ type report = {
 val nest_cycles : Config.t -> threads:int -> Trace.counters -> nest_cost
 
 type engine = Bytecode | Approx of Trace_bc.approx
-(** Which trace engine produces the counters. Both walk the flat trace
-    sections ({!Trace_bc}): [Bytecode] exactly, bit-identical to the
+(** Which trace engine produces the counters. Both walk each nest's trace
+    plan ({!Trace_bc}): [Bytecode] exactly, bit-identical to the
     reference walker {!Trace.run}, and the default; [Approx] with
     line-granular stepping and adaptive loop sampling, with bounded
     relative error (docs/performance.md). *)

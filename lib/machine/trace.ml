@@ -300,7 +300,7 @@ let n_registers = 16
     extra L1 loads and stores every iteration. This is what makes the big
     inlined-and-unrolled CLOUDSC bodies expensive (paper Table 1) and what
     maximal fission repairs. Shared by the tree walker and the trace
-    lowering ([Bytecode]) so their spill counts cannot drift. *)
+    plan ([Trace_bc]) so their spill counts cannot drift. *)
 let spill_estimate (l : Ir.loop) : int =
   let comps = Ir.comps_in l.Ir.body in
   let mem =

@@ -1,16 +1,16 @@
-(** Differential tests of the trace lowering ([Daisy_machine.Bytecode])
-    and its walk ([Daisy_machine.Trace_bc]): counters must be {e bitwise
-    identical} to the tree-walking trace oracle [Trace.run] in exact mode
-    — on every benchmark family in the repo, on the adversarial inline
-    programs of [Test_trace.edge_cases], and on random programs. Also
-    covered here: the one-innermost-trip budget contract on the tree
-    interpreter and both trace engines, determinism across pool job
-    counts, and the verifier's rejection of malformed trace sections. *)
+(** Differential tests of the trace engine ([Daisy_machine.Trace_bc]):
+    counters must be {e bitwise identical} to the tree-walking trace
+    oracle [Trace.run] in exact mode — on every benchmark family in the
+    repo, on the adversarial inline programs of [Test_trace.edge_cases],
+    and on random programs. Also covered here: the one-innermost-trip
+    budget contract on the tree interpreter and both trace engines,
+    determinism across pool job counts, and error parity: every walk
+    raises the tree walker's error when the faulty node executes, and
+    never when it does not. *)
 
 module Ir = Daisy_loopir.Ir
 module Expr = Daisy_poly.Expr
 module Interp = Daisy_interp.Interp
-module B = Daisy_machine.Bytecode
 module Config = Daisy_machine.Config
 module Trace = Daisy_machine.Trace
 module Tb = Daisy_machine.Trace_bc
@@ -191,140 +191,122 @@ let test_parallel_jobs () =
   check "bytecode vs tree reference" seq reference
 
 (* ------------------------------------------------------------------ *)
-(* Verifier: pristine artifacts pass, each malformed class is rejected  *)
+(* Error parity: every walk raises the tree walker's error, lazily      *)
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+let walks =
+  [ ("tree", fun p ~sizes -> Trace.run config p ~sizes ());
+    ("fused", fun p ~sizes -> Tb.run config p ~sizes ());
+    ("plain", fun p ~sizes -> Tb.run config p ~sizes ~batch:false ());
+    ("approx",
+     fun p ~sizes -> Tb.run config p ~sizes ~approx:Tb.default_approx ()) ]
 
-let test_verifier () =
-  let b = List.find (fun (b : Pb.benchmark) -> b.Pb.name = "gemm") Pb.all in
-  let p = Pb.program b in
-  let env = smap b.Pb.test_sizes in
-  let art = B.lower (Trace.layout_of p ~sizes:env) ~sizes:env p in
-  Alcotest.(check (list string)) "pristine artifact verifies" [] (B.verify art);
-  let tn = art.B.tnodes.(0) in
-  let first op =
-    let rec go pc =
-      if pc >= Array.length tn.B.t_code then
-        Alcotest.failf "gemm section has no %s" B.top_name.(op)
-      else if tn.B.t_code.(pc) = op then pc
-      else go (pc + B.top_len.(tn.B.t_code.(pc)))
-    in
-    go 0
+let test_error_parity () =
+  let base =
+    lower
+      {|void f(int n, double A[n][n], double x[n]) {
+          for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+              A[i][j] = A[i][j] + x[j];
+        }|}
   in
-  let loop_pc = first B.t_loop and comp_pc = first B.t_comp in
-  Alcotest.(check int) "gemm section has no library call" 0
-    (Array.length tn.B.t_calls);
-  let nslots = tn.B.t_nslots and nixs = Array.length tn.B.t_ixs in
-  let npool = Array.length tn.B.t_pool in
-  let nxpool = Array.length tn.B.t_xpool in
-  (* mutants of the first section *)
-  let code f =
-    let t_code = Array.copy tn.B.t_code in
-    f t_code;
-    { tn with B.t_code }
+  let sizes = [ ("n", 8) ] in
+  let v = Expr.var and c = Expr.const in
+  let assign array indices =
+    Ir.Ncomp (Ir.mk_comp (Ir.Darray { Ir.array; indices }) (Ir.Vfloat 1.0))
   in
-  let loop0 f =
-    let t_loops = Array.copy tn.B.t_loops in
-    t_loops.(0) <- f t_loops.(0);
-    { tn with B.t_loops }
-  in
-  let site0 ts_acc =
-    let y = tn.B.t_comps.(0) in
-    let y_sites = Array.copy y.B.y_sites in
-    y_sites.(0) <- { y_sites.(0) with B.ts_acc };
-    let t_comps = Array.copy tn.B.t_comps in
-    t_comps.(0) <- { y with B.y_sites };
-    { tn with B.t_comps }
-  in
-  let extra_ix ?(pool = [||]) ?(xpool = [||]) ix =
-    { tn with
-      B.t_ixs = Array.append tn.B.t_ixs [| ix |];
-      t_pool = Array.append tn.B.t_pool pool;
-      t_xpool = Array.append tn.B.t_xpool xpool }
-  in
-  let xcode words = extra_ix ~xpool:words (B.Ix_code (nxpool, Array.length words)) in
-  let as_call ?(calls = [||]) id =
-    { (code (fun c -> c.(comp_pc) <- B.t_call; c.(comp_pc + 1) <- id)) with
-      B.t_calls = calls }
-  in
-  let mutants =
-    [ (* the instruction stream *)
-      ("bad trace opcode", "bad opcode 77", code (fun c -> c.(0) <- 77));
-      ("truncated instruction", "truncated TCOMP",
-       { tn with B.t_code = Array.sub tn.B.t_code 0 (comp_pc + 1) });
-      ("loop id out of table", "loop id",
-       code (fun c -> c.(loop_pc + 1) <- Array.length tn.B.t_loops));
-      ("loop target off an instruction boundary",
-       "is not an instruction boundary",
-       code (fun c -> c.(loop_pc + 2) <- loop_pc + 1));
-      ("comp id out of table", "comp id",
-       code (fun c -> c.(comp_pc + 1) <- Array.length tn.B.t_comps));
-      ("call id out of table", "call id", as_call 0);
-      (* loop descriptors *)
-      ("trace loop slot out of file", "loop slot",
-       loop0 (fun w -> { w with B.w_slot = nslots }));
-      ("zero loop step", "zero loop step",
-       loop0 (fun w -> { w with B.w_step = 0 }));
-      ("loop bound ix out of table", "ix id",
-       loop0 (fun w -> { w with B.w_lo = nixs }));
-      ("body comp id out of table", "body comp id",
-       loop0 (fun w ->
-           { w with B.w_body = Some [| Array.length tn.B.t_comps |] }));
-      (* address generators and call operands *)
-      ("address slice outside t_pool", "address slice",
-       site0 (B.Ta_aff (npool, 1)));
-      ("address slot out of file", "address slot",
-       { (site0 (B.Ta_aff (npool, 1))) with
-         B.t_pool = Array.append tn.B.t_pool [| 0; nslots; 8 |] });
-      ("subscript ix out of table", "ix id",
-       site0 (B.Ta_gen (0, [| 4 |], [| nixs |])));
-      ("call dim ix out of table", "ix id",
-       as_call 0
-         ~calls:[| { B.z_err = None; z_kernel = "gemm"; z_dims = [| nixs |] } |]);
-      (* integer operands *)
-      ("register out of file", "slot", extra_ix (B.Ix_reg nslots));
-      ("affine slice outside t_pool", "affine slice",
-       extra_ix (B.Ix_aff (npool, 2)));
-      ("affine slot out of file", "affine slot",
-       extra_ix ~pool:[| 0; nslots; 1 |] (B.Ix_aff (npool, 1)));
-      ("xcode slice outside t_xpool", "xcode slice",
-       extra_ix (B.Ix_code (0, nxpool + 1)));
-      ("bad xcode opcode", "bad xcode opcode", xcode [| 99 |]);
-      ("truncated xcode", "truncated xcode", xcode [| B.x_push |]);
-      ("xcode slot out of file", "xcode slot", xcode [| B.x_reg; nslots |]);
-      ("xcode stack underflow", "stack underflow", xcode [| B.x_add |]);
-      ("xcode leaves two values", "leaves 2 values",
-       xcode [| B.x_push; 1; B.x_push; 2 |]) ]
-  in
-  List.iter
-    (fun (what, needle, mutant) ->
-      let tnodes = Array.copy art.B.tnodes in
-      tnodes.(0) <- mutant;
-      match B.verify { art with B.tnodes } with
-      | [] -> Alcotest.failf "%s: verifier accepted a malformed artifact" what
-      | errs ->
-          if not (List.exists (fun e -> contains e needle) errs) then
-            Alcotest.failf "%s: expected a problem mentioning %S, got: %s" what
-              needle (String.concat "; " errs))
-    mutants;
-  (* an unknown array is invalid IR: under validation the lowering
-     rejects it before emitting anything *)
-  let ghost =
-    { p with
+  (* [node] runs after the j loop, in every iteration of i *)
+  let with_node node =
+    { base with
       Ir.body =
-        [ Ir.Ncomp
-            (Ir.mk_comp
-               (Ir.Darray { Ir.array = "Ghost"; indices = [ Expr.const 0 ] })
-               (Ir.Vfloat 1.0)) ] }
+        List.map
+          (function
+            | Ir.Nloop l -> Ir.Nloop { l with Ir.body = l.Ir.body @ [ node ] }
+            | n -> n)
+          base.Ir.body }
   in
+  let zero_trip node =
+    Ir.Nloop (Ir.mk_loop ~iter:"z" ~lo:(c 0) ~hi:(c (-1)) [ node ])
+  in
+  let faults =
+    [ ("unknown container", "unknown container Ghost",
+       assign "Ghost" [ v "i" ]);
+      ("unbound variable in a loop bound", "unbound variable q",
+       Ir.Nloop
+         (Ir.mk_loop ~iter:"k" ~lo:(c 0) ~hi:(v "q") [ assign "x" [ v "k" ] ]));
+      ("unbound variable in a subscript", "unbound variable q",
+       assign "A" [ v "i"; v "q" ]);
+      ("unbound variable in a call dim", "unbound variable q",
+       Ir.Ncall
+         { Ir.kid = Ir.fresh_id (); kernel = "gemv"; args = [ "A"; "x"; "x" ];
+           scalar_args = []; dims = [ v "n"; v "q" ]; writes_to = [ "x" ] });
+      ("rank mismatch", "rank mismatch", assign "A" [ v "i" ]) ]
+  in
+  Test_trace.with_validation false (fun () ->
+      List.iter
+        (fun (what, expected, node) ->
+          let p = with_node node in
+          List.iter
+            (fun (engine, walk) ->
+              match walk p ~sizes with
+              | (_ : Trace.counters list) ->
+                  Alcotest.failf "%s: %s walk did not raise" what engine
+              | exception Trace.Unsupported_trace m ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: %s message" what engine)
+                    expected m)
+            walks;
+          (* under a zero-trip loop the node never executes *)
+          let hidden = with_node (zero_trip node) in
+          let tree = Trace.run config base ~sizes () in
+          List.iter
+            (fun (engine, walk) ->
+              let same claim a b =
+                if not (List.for_all2 Trace.counters_equal a b) then
+                  Alcotest.failf "%s under a zero-trip loop: the %s walk's %s"
+                    what engine claim
+              in
+              let got = walk hidden ~sizes in
+              same "counters changed" (walk base ~sizes) got;
+              if engine <> "approx" then
+                same "counters differ from the tree's" tree got)
+            walks)
+        faults);
+  (* an unknown array is invalid IR: under validation it is rejected
+     before lowering *)
   Test_trace.with_validation true (fun () ->
-      match Tb.run config ghost ~sizes:b.Pb.test_sizes () with
+      match Tb.run config (with_node (assign "Ghost" [ v "i" ])) ~sizes () with
       | (_ : Trace.counters list) ->
           Alcotest.fail "validation accepted an unknown array"
       | exception Daisy_support.Diag.Error _ -> ())
+
+(* Two faults in one computation, an unknown destination and an unknown
+   read: every walk raises the one the tree walker meets first. *)
+let test_error_order () =
+  let v = Expr.var in
+  let comp =
+    Ir.mk_comp
+      (Ir.Darray { Ir.array = "Ghost"; indices = [ v "i" ] })
+      (Ir.Vread { Ir.array = "Phantom"; indices = [ v "i" ] })
+  in
+  let p =
+    { (lower {|void f(int n, double A[n]) { A[0] = 1.0; }|}) with
+      Ir.body =
+        [ Ir.Nloop
+            (Ir.mk_loop ~iter:"i" ~lo:(Expr.const 0) ~hi:(v "n")
+               [ Ir.Ncomp comp ]) ] }
+  in
+  let sizes = [ ("n", 4) ] in
+  Test_trace.with_validation false (fun () ->
+      let message walk =
+        match walk p ~sizes with
+        | (_ : Trace.counters list) -> "no error"
+        | exception Trace.Unsupported_trace m -> m
+      in
+      let tree = message (List.assoc "tree" walks) in
+      List.iter
+        (fun (engine, walk) ->
+          Alcotest.(check string) (engine ^ " message") tree (message walk))
+        (List.remove_assoc "tree" walks))
 
 (* ------------------------------------------------------------------ *)
 (* Random programs                                                      *)
@@ -353,6 +335,7 @@ let suite =
     ("non-affine, guards, negative step", `Quick, test_non_affine_guards_negstep);
     ("budget exhausts within one innermost trip", `Quick, test_budget_brackets);
     ("deterministic across pool jobs", `Slow, test_parallel_jobs);
-    ("verifier rejects malformed streams", `Quick, test_verifier);
+    ("error parity with the tree walker", `Quick, test_error_parity);
+    ("error parity: the first of two faults", `Quick, test_error_order);
     QCheck_alcotest.to_alcotest prop_trace_bitwise;
   ]

@@ -198,7 +198,7 @@ let test_config_validate () =
        msgs)
 
 let test_cache_probe_hit_run () =
-  (* l1_probe + l1_hit_run must leave the cache in exactly the state the
+  (* l1_probe_memo + l1_hit_run must leave the cache in exactly the state the
      per-access path produces: identical stats now AND identical eviction
      behavior later (stamps and dirty bits match) *)
   let l1 = { Config.name = "L1"; size_bytes = 256; line_bytes = 64; assoc = 4 } in
@@ -227,8 +227,11 @@ let test_cache_probe_hit_run () =
   warm fused;
   let lines = Array.map (fun a -> a / 64) addrs in
   let slots = Array.make 3 0 in
+  (* fresh memo arrays: nothing armed, so every touch scans the tags *)
+  let mline = Array.make 3 (-1) and mslot = Array.make 3 0 in
+  let mep = Array.make 3 (-1) in
   Alcotest.(check bool) "probe finds the warm lines" true
-    (Cache.l1_probe fused ~lines ~n:3 ~slots);
+    (Cache.l1_probe_memo fused ~lines ~n:3 ~slots ~mline ~mslot ~mep);
   Cache.l1_hit_run fused ~slots ~writes ~k:3 ~n:7;
   tail fused;
   Alcotest.(check int) "clocks agree" (Cache.clock generic) (Cache.clock fused);

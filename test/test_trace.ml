@@ -438,7 +438,7 @@ let test_approx_golden () =
         Alcotest.failf "%s: approx cycles %h, golden %h" name got want)
     progs
 
-(* One computation placed three times in one trace section (repeated ids
+(* One computation placed three times in one top-level node (repeated ids
    are invalid IR, so the test runs with validation off): the trace
    engines share its addresses by cid, but approx line-step eligibility
    and the last-line memo belong to each occurrence. At n = 12 (trips
